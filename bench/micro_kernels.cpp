@@ -1,7 +1,8 @@
 // Micro-benchmarks of the substrate kernels that dominate CasCN training:
 // dense matmul, sparse-dense matmul, the CasLaplacian construction
-// (Algorithm 1), the Chebyshev basis recursion, one graph-conv LSTM step
-// (forward and forward+backward), and snapshot encoding.
+// (Algorithm 1), lambda_max, the Chebyshev basis recursion, one graph-conv
+// LSTM step (forward and forward+backward), snapshot encoding, and a whole
+// no-grad predict of an encoded cascade with a = 9 of n = 32 nodes active.
 //
 // Besides the usual console output, every run writes a machine-readable
 // BENCH_micro_kernels.json (see obs/bench_report.h) that the CI bench-guard
@@ -21,6 +22,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/cascn_model.h"
 #include "core/encoder.h"
 #include "data/cascade_generator.h"
 #include "graph/chebyshev.h"
@@ -83,6 +85,17 @@ void BM_CasLaplacian(benchmark::State& state) {
 }
 BENCHMARK(BM_CasLaplacian)->Arg(16)->Arg(32)->Arg(64);
 
+/// lambda_max of an a-node cascade padded to n = 32: the power iteration
+/// runs on the a x a active block.
+void BM_EstimateLambdaMax(benchmark::State& state) {
+  const int a = static_cast<int>(state.range(0));
+  const CsrMatrix lap = CascadeLaplacian(BenchCascade(a), 32).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EstimateLambdaMax(lap, a));
+  }
+}
+BENCHMARK(BM_EstimateLambdaMax)->Arg(9);
+
 void BM_ChebyshevBasis(benchmark::State& state) {
   const int n = 32;
   const Cascade cascade = BenchCascade(n);
@@ -126,6 +139,24 @@ void BM_GraphConvLstmStepTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphConvLstmStepTrain)->Arg(16)->Arg(32);
+
+/// A served predict of an already-encoded cascade with a active nodes of
+/// n = 32 (stream's mean active size is about 9): the recurrence over the
+/// active rows, the padded-row table lookup, pooling and the MLP head. The
+/// step rows above feed a = n and so cannot see padded-row work.
+void BM_CascnPredictNoGrad(benchmark::State& state) {
+  const int a = static_cast<int>(state.range(0));
+  CascnModel model(CascnConfig{});
+  CascadeSample sample;
+  sample.observed = BenchCascade(a);
+  sample.observation_window = a;
+  ag::NoGradGuard no_grad;
+  model.PredictLog(sample);  // encodes and builds the padded-row table
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.PredictLog(sample).value().At(0, 0));
+  }
+}
+BENCHMARK(BM_CascnPredictNoGrad)->Arg(9);
 
 void BM_EncodeCascade(benchmark::State& state) {
   GeneratorConfig gen = WeiboLikeConfig();

@@ -58,7 +58,7 @@ ag::Variable DeepCasModel::PredictLog(const CascadeSample& sample) {
   nn::RnnState bwd = gru_bwd_->InitialState(num_walks);
   for (auto it = per_step.rbegin(); it != per_step.rend(); ++it)
     bwd = gru_bwd_->Step(user_embedding_->Lookup(*it), bwd);
-  const ag::Variable walk_repr = ag::ConcatCols(fwd.h, bwd.h);  // K x 2h
+  const ag::Variable walk_repr = ag::ConcatCols({fwd.h, bwd.h});  // K x 2h
 
   // Attention over walks: softmax(tanh(H Wa) va) weighted sum.
   const ag::Variable scores = ag::MatMul(

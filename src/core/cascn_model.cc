@@ -1,6 +1,8 @@
 #include "core/cascn_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "nn/init.h"
@@ -62,6 +64,15 @@ CascnModel::CascnModel(const CascnConfig& config) : config_(config) {
                        config.mlp_hidden2, 1},
       nn::Activation::kRelu, rng);
   RegisterSubmodule("mlp", mlp_.get());
+  // A recurrent cell's own parameters (peepholes and biases, not its filter
+  // banks) are all that its rows without input read.
+  if (conv_lstm_ != nullptr || conv_gru_ != nullptr) {
+    const nn::Module& cell = conv_lstm_ != nullptr
+                                 ? static_cast<const nn::Module&>(*conv_lstm_)
+                                 : *conv_gru_;
+    for (const auto& [name, p] : cell.NamedParameters())
+      if (name.find('.') == std::string::npos) padded_params_.push_back(p);
+  }
 }
 
 std::string CascnModel::name() const { return VariantName(config_.variant); }
@@ -117,6 +128,43 @@ ag::Variable CascnModel::DecayFactor(int interval) const {
   return ag::Softplus(ag::SliceRows(decay_raw_, interval, 1));
 }
 
+nn::RnnState CascnModel::CellState(int rows) const {
+  return conv_gru_ != nullptr ? conv_gru_->InitialState(rows)
+                              : conv_lstm_->InitialState(rows);
+}
+
+nn::RnnState CascnModel::CellPaddedStep(const nn::RnnState& prev,
+                                        int first_row) const {
+  return conv_gru_ != nullptr ? conv_gru_->PaddedStep(prev, first_row)
+                              : conv_lstm_->PaddedStep(prev, first_row);
+}
+
+std::shared_ptr<const CascnModel::PaddedRows> CascnModel::PaddedRowTable() {
+  std::lock_guard<std::mutex> lock(padded_mutex_);
+  if (padded_ != nullptr) {
+    bool same = true;
+    const double* key = padded_->key.data();
+    for (const auto& p : padded_params_) {
+      const Tensor& v = p.value();
+      same = same && std::memcmp(key, v.data(), v.size() * sizeof(double)) == 0;
+      key += v.size();
+    }
+    if (same) return padded_;
+  }
+  auto table = std::make_shared<PaddedRows>();
+  for (const auto& p : padded_params_)
+    table->key.insert(table->key.end(), p.value().data(),
+                      p.value().data() + p.value().size());
+  ag::NoGradGuard no_grad;
+  nn::RnnState state = CellState(config_.padded_size);
+  for (int t = 0; t < config_.max_sequence_length; ++t) {
+    state = CellPaddedStep(state, 0);
+    table->h.push_back(state.h.value());
+  }
+  padded_ = std::move(table);
+  return padded_;
+}
+
 ag::Variable CascnModel::ForwardPooled(const CascadeSample& sample) {
   const std::shared_ptr<const EncodedCascade> enc_ptr = Encoded(sample);
   const EncodedCascade& enc = *enc_ptr;
@@ -140,18 +188,39 @@ ag::Variable CascnModel::ForwardPooled(const CascadeSample& sample) {
     return pooled_sum;
   }
 
-  // Convolutional recurrence (default, GRU, undirected, no-decay).
-  nn::RnnState state = config_.variant == CascnVariant::kGru
-                           ? conv_gru_->InitialState()
-                           : conv_lstm_->InitialState();
+  // Convolutional recurrence (default, GRU, undirected, no-decay) over the
+  // a active rows. The other rows see no input: their h_t comes from the
+  // parameter-keyed table when no graph is recorded, and otherwise from the
+  // same cell code run per forward, so gradients reach peepholes and biases.
+  // Each step's rows are put back together before pooling, which therefore
+  // adds exactly what the padded forward adds.
+  const bool gru = config_.variant == CascnVariant::kGru;
+  const int a = enc.active_n, n = config_.padded_size;
+  const auto filters = gru ? nn::GraphConvLstmCell::Filters{}
+                           : conv_lstm_->StackedFilters();
+  nn::RnnState state = CellState(a), rest;
+  std::shared_ptr<const PaddedRows> table;
+  if (a < n && !ag::GradEnabled()) {
+    table = PaddedRowTable();
+  } else if (a < n) {
+    rest = CellState(n - a);
+  }
   ag::Variable sum;  // n x d_h accumulated over time (Eq. 17)
   std::vector<ag::Variable> per_step;  // attention-pooling extension
   for (size_t t = 0; t < enc.snapshot_signals.size(); ++t) {
     const ag::Variable x = ag::Variable::Leaf(enc.snapshot_signals[t]);
-    state = config_.variant == CascnVariant::kGru
-                ? conv_gru_->Step(enc.cheb_basis, x, state)
-                : conv_lstm_->Step(enc.cheb_basis, x, state);
+    state = gru ? conv_gru_->Step(enc.cheb_basis, x, state)
+                : conv_lstm_->Step(enc.cheb_basis, x, state, filters);
     ag::Variable h = state.h;
+    if (table != nullptr) {
+      Tensor full = table->h.at(t);  // n x d; its first a rows replaced
+      std::copy(h.value().data(), h.value().data() + h.value().size(),
+                full.data());
+      h = ag::Variable::Leaf(std::move(full));
+    } else if (a < n) {
+      rest = CellPaddedStep(rest, a);
+      h = ag::ConcatRows({h, rest.h});
+    }
     if (use_decay)
       h = ag::ScaleByScalar(h, DecayFactor(enc.decay_intervals[t]));
     if (config_.attention_pooling) {

@@ -87,6 +87,23 @@ class CascnModel : public nn::Module, public CascadeRegressor {
   /// Softplus-positive decay factor for interval m, as a 1x1 Variable.
   ag::Variable DecayFactor(int interval) const;
 
+  /// The recurrent cell's (LSTM's or GRU's) zero state of `rows` rows, and
+  /// its step of rows first_row, ... that see no input.
+  nn::RnnState CellState(int rows) const;
+  nn::RnnState CellPaddedStep(const nn::RnnState& prev, int first_row) const;
+
+  /// h_t (n x d) of state rows that see no input, for every step count up
+  /// to max_sequence_length, and the bytes of the recurrent cell's own
+  /// parameters (peepholes, biases) it was computed from.
+  struct PaddedRows {
+    std::vector<double> key;
+    std::vector<Tensor> h;
+  };
+  /// The table for the current parameter values, rebuilt when their bytes
+  /// differ from its key: every in-place write (an optimizer step, a
+  /// checkpoint load, mutable_value()) is seen with no invalidation hook.
+  std::shared_ptr<const PaddedRows> PaddedRowTable();
+
   CascnConfig config_;
   std::unique_ptr<nn::GraphConvLstmCell> conv_lstm_;  // default & ablations
   std::unique_ptr<nn::GraphConvGruCell> conv_gru_;    // kGru
@@ -101,6 +118,9 @@ class CascnModel : public nn::Module, public CascadeRegressor {
     std::shared_ptr<const EncodedCascade> encoded;
     std::list<uint64_t>::iterator lru_it;
   };
+  std::vector<ag::Variable> padded_params_;  // the table's key parameters
+  std::mutex padded_mutex_;                   // guards padded_
+  std::shared_ptr<const PaddedRows> padded_;
   mutable std::mutex cache_mutex_;  // guards cache_ and cache_lru_
   std::unordered_map<uint64_t, CacheEntry> cache_;
   std::list<uint64_t> cache_lru_;  // front = most recently used

@@ -134,7 +134,9 @@ CsrMatrix ScaleLaplacian(const CsrMatrix& laplacian, double lambda_max,
 
 double EstimateLambdaMax(const CsrMatrix& laplacian, int active_n) {
   if (active_n <= 1) return 2.0;
-  const double lambda = PowerIterationLargestEigenvalue(laplacian);
+  // The active block started as the padded matrix would be: same value.
+  const double lambda = PowerIterationLargestEigenvalue(
+      laplacian.LeadingBlock(active_n), 64, laplacian.rows());
   if (!std::isfinite(lambda) || lambda < 1e-6) return 2.0;
   return lambda;
 }

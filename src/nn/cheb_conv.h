@@ -41,6 +41,7 @@ class ChebConv : public Module {
   }
 
   int order() const { return static_cast<int>(weights_.size()); }
+  const std::vector<ag::Variable>& weights() const { return weights_; }
 
  private:
   std::vector<ag::Variable> weights_;  // K tensors, each in x out

@@ -5,35 +5,17 @@
 
 namespace cascn::nn {
 
-namespace {
-
-/// A gate's pre-activation: both convolutions over the a active rows plus
-/// the bias over all n rows (the rows past a get the bias alone).
-ag::Variable Gate(const ChebConv& cx, const std::vector<ag::Variable>& xs,
-                  const ChebConv& ch, const std::vector<ag::Variable>& hs,
-                  const ag::Variable& bias, int n) {
-  return ag::AddRowBroadcast(ag::Add(cx.Apply(xs), ch.Apply(hs)), bias, n);
-}
-
-}  // namespace
-
 GraphConvLstmCell::GraphConvLstmCell(int num_nodes, int hidden_dim,
                                      int cheb_order, Rng& rng)
     : num_nodes_(num_nodes), hidden_dim_(hidden_dim) {
   // Filter banks in initialisation order: X-side (n inputs), then h-side.
-  auto add = [&](const char* name, std::unique_ptr<ChebConv>& conv, int in) {
-    conv = std::make_unique<ChebConv>(in, hidden_dim, cheb_order, rng,
-                                      /*with_bias=*/false);
-    RegisterSubmodule(name, conv.get());
-  };
-  add("conv_x_i", conv_x_i_, num_nodes);
-  add("conv_x_f", conv_x_f_, num_nodes);
-  add("conv_x_o", conv_x_o_, num_nodes);
-  add("conv_x_c", conv_x_c_, num_nodes);
-  add("conv_h_i", conv_h_i_, hidden_dim);
-  add("conv_h_f", conv_h_f_, hidden_dim);
-  add("conv_h_o", conv_h_o_, hidden_dim);
-  add("conv_h_c", conv_h_c_, hidden_dim);
+  for (int g = 0; g < 8; ++g) {
+    conv_[g] = std::make_unique<ChebConv>(g < 4 ? num_nodes : hidden_dim,
+                                          hidden_dim, cheb_order, rng,
+                                          /*with_bias=*/false);
+    RegisterSubmodule(std::string(g < 4 ? "conv_x_" : "conv_h_") + "ifoc"[g % 4],
+                      conv_[g].get());
+  }
   // Peepholes start at zero so early training matches a peephole-free LSTM.
   v_i_ = RegisterParameter("v_i", Tensor(num_nodes, hidden_dim));
   v_f_ = RegisterParameter("v_f", Tensor(num_nodes, hidden_dim));
@@ -44,63 +26,66 @@ GraphConvLstmCell::GraphConvLstmCell(int num_nodes, int hidden_dim,
   b_c_ = RegisterParameter("b_c", Tensor(1, hidden_dim));
 }
 
-RnnState GraphConvLstmCell::InitialState() const {
-  RnnState s;
-  s.h = ag::Variable::Leaf(Tensor(num_nodes_, hidden_dim_));
-  s.c = ag::Variable::Leaf(Tensor(num_nodes_, hidden_dim_));
-  return s;
+RnnState GraphConvLstmCell::InitialState(int rows) const {
+  const Tensor zero(rows ? rows : num_nodes_, hidden_dim_);
+  return {ag::Variable::Leaf(zero), ag::Variable::Leaf(zero)};
 }
 
-RnnState GraphConvLstmCell::Step(const std::vector<CsrMatrix>& cheb_basis,
-                                 const ag::Variable& x,
-                                 const RnnState& prev) const {
+GraphConvLstmCell::Filters GraphConvLstmCell::StackedFilters() const {
+  Filters out;
+  for (int k = 0; k < cheb_order(); ++k) {
+    std::vector<ag::Variable> x, h;
+    for (int g = 0; g < 4; ++g) {
+      x.push_back(conv_[g]->weights()[k]);
+      h.push_back(conv_[4 + g]->weights()[k]);
+    }
+    out.x.push_back(ag::ConcatCols(x));
+    out.h.push_back(ag::ConcatCols(h));
+  }
+  return out;
+}
+
+RnnState GraphConvLstmCell::Step(const std::vector<CsrMatrix>& basis,
+                                 const ag::Variable& x, const RnnState& prev,
+                                 const Filters& filters) const {
   CASCN_TRACE_SPAN("graph_lstm_step");
   CASCN_CHECK(x.rows() == x.cols() && x.rows() <= num_nodes_)
       << "snapshot signal must be square and at most n x n";
-  // T_k X and T_k h, formed once and shared by the four gates.
-  const auto xs = ChebConv::Propagate(cheb_basis, x);
-  const auto hs = ChebConv::Propagate(cheb_basis, prev.h);
-  const int n = num_nodes_;
-  const ag::Variable i = ag::Sigmoid(
-      ag::Add(Gate(*conv_x_i_, xs, *conv_h_i_, hs, b_i_, n),
-              ag::Mul(v_i_, prev.c)));
-  const ag::Variable f = ag::Sigmoid(
-      ag::Add(Gate(*conv_x_f_, xs, *conv_h_f_, hs, b_f_, n),
-              ag::Mul(v_f_, prev.c)));
-  const ag::Variable g =
-      ag::Tanh(Gate(*conv_x_c_, xs, *conv_h_c_, hs, b_c_, n));
-  RnnState next;
-  next.c = ag::Add(ag::Mul(f, prev.c), ag::Mul(i, g));
-  const ag::Variable o = ag::Sigmoid(
-      ag::Add(Gate(*conv_x_o_, xs, *conv_h_o_, hs, b_o_, n),
-              ag::Mul(v_o_, next.c)));
-  next.h = ag::Mul(o, ag::Tanh(next.c));
-  return next;
+  const Filters w = filters.x.empty() ? StackedFilters() : filters;
+  // T_k X and T_k h, formed once and weighted by all four gates at once.
+  const auto zx = ag::MatMulSum(ChebConv::Propagate(basis, x), w.x);
+  const auto zh = ag::MatMulSum(ChebConv::Propagate(basis, prev.h), w.h);
+  const ag::LstmOutput out = ag::FusedLstmCell(
+      zx, zh, {b_i_, b_f_, b_o_, b_c_}, {v_i_, v_f_, v_o_}, prev.c);
+  return {out.h, out.c};
+}
+
+RnnState GraphConvLstmCell::PaddedStep(const RnnState& prev,
+                                       int first_row) const {
+  const ag::LstmOutput out =
+      ag::FusedLstmCell({}, {}, {b_i_, b_f_, b_o_, b_c_}, {v_i_, v_f_, v_o_},
+                        prev.c, first_row);
+  return {out.h, out.c};
 }
 
 GraphConvGruCell::GraphConvGruCell(int num_nodes, int hidden_dim,
                                    int cheb_order, Rng& rng)
     : num_nodes_(num_nodes), hidden_dim_(hidden_dim) {
-  auto add = [&](const char* name, std::unique_ptr<ChebConv>& conv, int in) {
-    conv = std::make_unique<ChebConv>(in, hidden_dim, cheb_order, rng,
-                                      /*with_bias=*/false);
-    RegisterSubmodule(name, conv.get());
-  };
-  add("conv_x_r", conv_x_r_, num_nodes);
-  add("conv_x_z", conv_x_z_, num_nodes);
-  add("conv_x_n", conv_x_n_, num_nodes);
-  add("conv_h_r", conv_h_r_, hidden_dim);
-  add("conv_h_z", conv_h_z_, hidden_dim);
-  add("conv_h_n", conv_h_n_, hidden_dim);
+  for (int g = 0; g < 6; ++g) {
+    conv_[g] = std::make_unique<ChebConv>(g < 3 ? num_nodes : hidden_dim,
+                                          hidden_dim, cheb_order, rng,
+                                          /*with_bias=*/false);
+    RegisterSubmodule(std::string(g < 3 ? "conv_x_" : "conv_h_") + "rzn"[g % 3],
+                      conv_[g].get());
+  }
   b_r_ = RegisterParameter("b_r", Tensor(1, hidden_dim));
   b_z_ = RegisterParameter("b_z", Tensor(1, hidden_dim));
   b_n_ = RegisterParameter("b_n", Tensor(1, hidden_dim));
 }
 
-RnnState GraphConvGruCell::InitialState() const {
-  RnnState s;
-  s.h = ag::Variable::Leaf(Tensor(num_nodes_, hidden_dim_));
-  return s;
+RnnState GraphConvGruCell::InitialState(int rows) const {
+  return {ag::Variable::Leaf(Tensor(rows ? rows : num_nodes_, hidden_dim_)),
+          {}};
 }
 
 RnnState GraphConvGruCell::Step(const std::vector<CsrMatrix>& cheb_basis,
@@ -111,17 +96,27 @@ RnnState GraphConvGruCell::Step(const std::vector<CsrMatrix>& cheb_basis,
       << "snapshot signal must be square and at most n x n";
   const auto xs = ChebConv::Propagate(cheb_basis, x);
   const auto hs = ChebConv::Propagate(cheb_basis, prev.h);
-  const int nodes = num_nodes_;
-  const ag::Variable r =
-      ag::Sigmoid(Gate(*conv_x_r_, xs, *conv_h_r_, hs, b_r_, nodes));
-  const ag::Variable z =
-      ag::Sigmoid(Gate(*conv_x_z_, xs, *conv_h_z_, hs, b_z_, nodes));
-  const ag::Variable n = ag::Tanh(
-      Gate(*conv_x_n_, xs, *conv_h_n_,
-           ChebConv::Propagate(cheb_basis, ag::Mul(r, prev.h)), b_n_, nodes));
-  RnnState next;
-  next.h = ag::Add(n, ag::Mul(z, ag::Sub(prev.h, n)));
-  return next;
+  // Convolutions over the a active rows; the rows past a get the bias alone.
+  auto gate = [&](int g, const std::vector<ag::Variable>& terms,
+                  const ag::Variable& bias) {
+    return ag::AddRowBroadcast(
+        ag::Add(conv_[g]->Apply(xs), conv_[3 + g]->Apply(terms)), bias,
+        prev.h.rows());
+  };
+  const ag::Variable r = ag::Sigmoid(gate(0, hs, b_r_));
+  const ag::Variable z = ag::Sigmoid(gate(1, hs, b_z_));
+  const ag::Variable n = ag::Tanh(gate(
+      2, ChebConv::Propagate(cheb_basis, ag::Mul(r, prev.h)), b_n_));
+  return {ag::Add(n, ag::Mul(z, ag::Sub(prev.h, n))), {}};
+}
+
+RnnState GraphConvGruCell::PaddedStep(const RnnState& prev,
+                                      int /*first_row*/) const {
+  const ag::Variable none = ag::Variable::Leaf(Tensor(0, hidden_dim_));
+  const int rows = prev.h.rows();
+  const ag::Variable z = ag::Sigmoid(ag::AddRowBroadcast(none, b_z_, rows));
+  const ag::Variable n = ag::Tanh(ag::AddRowBroadcast(none, b_n_, rows));
+  return {ag::Add(n, ag::Mul(z, ag::Sub(prev.h, n))), {}};
 }
 
 }  // namespace cascn::nn

@@ -10,14 +10,13 @@
 //   o_t = sigmoid(W_o *G X_t + U_o *G h_{t-1} + V_o (.) c_t + b_o)
 //   h_t = o_t (.) tanh(c_t)
 //
-// State lives per node: h and c are (n x hidden), `n` the padded cascade size
-// fixed by the model configuration; the peephole matrices are (n x hidden)
-// exactly as in the paper (V in R^{n x d_h}). X_t is the adjacency snapshot
-// of the a <= n active nodes (a x a), and the Chebyshev basis spans them
-// too: the padded model's X_t and T_k are zero past row and column a, so
-// the convolutions of rows >= a vanish and only the bias (and peephole)
-// drive them. Step convolves the a active rows, pads, and runs the
-// element-wise gates over all n rows.
+// The peepholes V are n x d_h as in the paper, n the padded cascade size.
+// X_t and the Chebyshev basis span the a <= n active nodes (a x a), so only
+// bias and peephole drive a row >= a: its h_t depends on the parameters
+// alone. Step runs a state of a <= rows <= n rows, rows past a seeing no
+// convolution; PaddedStep runs rows that see no input. The LSTM stacks its
+// gates' filters column-wise and fuses the element-wise cell
+// (ag::FusedLstmCell): one MatMulSum per side and one op per step.
 //
 // GraphConvGruCell is the CasCN-GRU variant: same graph convolutions with
 // GRU gating and no separate memory cell.
@@ -42,23 +41,31 @@ class GraphConvLstmCell : public Module {
   /// because the snapshot signal X_t is the n x n adjacency matrix).
   GraphConvLstmCell(int num_nodes, int hidden_dim, int cheb_order, Rng& rng);
 
-  RnnState InitialState() const;
+  /// Zero state of `rows` nodes (default n).
+  RnnState InitialState(int rows = 0) const;
+
+  /// Per Chebyshev order, the gates' filters stacked [i | f | o | c]: X side
+  /// (n x 4d) and h side (d x 4d). Stack once per forward.
+  struct Filters { std::vector<ag::Variable> x, h; };
+  Filters StackedFilters() const;
 
   /// One step over snapshot signal `x` (a x a) with the cascade's a x a
-  /// Chebyshev basis (shared across steps; the Laplacian is per-cascade).
+  /// Chebyshev basis; `filters` are stacked here when not given.
   RnnState Step(const std::vector<CsrMatrix>& cheb_basis,
-                const ag::Variable& x, const RnnState& prev) const;
+                const ag::Variable& x, const RnnState& prev,
+                const Filters& filters = {}) const;
+  /// A step of rows first_row, ... that see no input (reads v and b only).
+  RnnState PaddedStep(const RnnState& prev, int first_row) const;
 
   int num_nodes() const { return num_nodes_; }
   int hidden_dim() const { return hidden_dim_; }
-  int cheb_order() const { return conv_x_i_->order(); }
+  int cheb_order() const { return conv_[0]->order(); }
 
  private:
   int num_nodes_;
   int hidden_dim_;
-  // Graph-convolution filter banks per gate, for input X and hidden h.
-  std::unique_ptr<ChebConv> conv_x_i_, conv_x_f_, conv_x_o_, conv_x_c_;
-  std::unique_ptr<ChebConv> conv_h_i_, conv_h_f_, conv_h_o_, conv_h_c_;
+  // Filter banks of gates i, f, o, c for input X, then the same for h.
+  std::unique_ptr<ChebConv> conv_[8];
   // Peephole weights (n x hidden) and biases (1 x hidden).
   ag::Variable v_i_, v_f_, v_o_;
   ag::Variable b_i_, b_f_, b_o_, b_c_;
@@ -69,19 +76,16 @@ class GraphConvGruCell : public Module {
  public:
   GraphConvGruCell(int num_nodes, int hidden_dim, int cheb_order, Rng& rng);
 
-  RnnState InitialState() const;
+  RnnState InitialState(int rows = 0) const;
   RnnState Step(const std::vector<CsrMatrix>& cheb_basis,
                 const ag::Variable& x, const RnnState& prev) const;
-
-  int num_nodes() const { return num_nodes_; }
-  int hidden_dim() const { return hidden_dim_; }
-  int cheb_order() const { return conv_x_r_->order(); }
+  /// Rows that see no input: h <- tanh(b_n) + sigmoid(b_z) (h - tanh(b_n)).
+  RnnState PaddedStep(const RnnState& prev, int first_row) const;
 
  private:
   int num_nodes_;
   int hidden_dim_;
-  std::unique_ptr<ChebConv> conv_x_r_, conv_x_z_, conv_x_n_;
-  std::unique_ptr<ChebConv> conv_h_r_, conv_h_z_, conv_h_n_;
+  std::unique_ptr<ChebConv> conv_[6];  // gates r, z, n for X, then for h
   ag::Variable b_r_, b_z_, b_n_;
 };
 

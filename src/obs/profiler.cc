@@ -57,6 +57,7 @@ std::string_view OpKindName(OpKind kind) {
     case OpKind::kSliceRows: return "slice_rows";
     case OpKind::kGatherRows: return "gather_rows";
     case OpKind::kTranspose: return "transpose";
+    case OpKind::kFusedLstmCell: return "fused_lstm_cell";
     case OpKind::kNumOpKinds: break;
   }
   return "unknown";

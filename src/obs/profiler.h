@@ -71,6 +71,7 @@ enum class OpKind : int {
   kSliceRows,
   kGatherRows,
   kTranspose,
+  kFusedLstmCell,
   kNumOpKinds,
 };
 

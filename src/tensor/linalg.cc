@@ -1,5 +1,6 @@
 #include "tensor/linalg.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -55,28 +56,41 @@ Result<Tensor> SolveSpd(const Tensor& a, const Tensor& b) {
   return x;
 }
 
-double PowerIterationLargestEigenvalue(const CsrMatrix& a, int iterations) {
+double PowerIterationLargestEigenvalue(const CsrMatrix& a, int iterations,
+                                       int start_dim) {
   CASCN_CHECK(a.rows() == a.cols());
   const int n = a.rows();
   if (n == 0) return 0.0;
-  // Symmetrise: S = (A + A^T)/2, applied without materialising S densely.
-  const CsrMatrix at = a.Transposed();
-  Tensor x(n, 1, 1.0 / std::sqrt(static_cast<double>(n)));
+  const auto& offsets = a.row_offsets();
+  const auto& cols = a.col_indices();
+  const auto& vals = a.values();
+  obs::TrackedVector<double> x(
+      n, 1.0 / std::sqrt(static_cast<double>(start_dim > 0 ? start_dim : n)));
+  obs::TrackedVector<double> ax(n), atx(n);
   double lambda = 0.0;
   for (int it = 0; it < iterations; ++it) {
-    Tensor ax = a.MatMulDense(x);
-    ax.AddInPlace(at.MatMulDense(x));
-    ax.Scale(0.5);
-    double num = 0, den = 0;
-    for (int i = 0; i < n; ++i) {
-      num += x.At(i, 0) * ax.At(i, 0);
-      den += x.At(i, 0) * x.At(i, 0);
+    // S x = (A x + A^T x) / 2, S never materialised. A^T x is scattered in
+    // row order, so each entry sums its terms in the order a gather over
+    // the transposed matrix would.
+    std::fill(atx.begin(), atx.end(), 0.0);
+    for (int r = 0; r < n; ++r)
+      for (int k = offsets[r]; k < offsets[r + 1]; ++k)
+        atx[cols[k]] += vals[k] * x[r];
+    double num = 0, den = 0, sq = 0;
+    for (int r = 0; r < n; ++r) {
+      double s = 0.0;
+      for (int k = offsets[r]; k < offsets[r + 1]; ++k)
+        s += vals[k] * x[cols[k]];
+      ax[r] = (s + atx[r]) * 0.5;
+      num += x[r] * ax[r];
+      den += x[r] * x[r];
+      sq += ax[r] * ax[r];
     }
     lambda = den > 0 ? num / den : 0.0;
-    const double norm = ax.Norm();
+    const double norm = std::sqrt(sq);
     if (norm < 1e-30) return 0.0;
-    ax.Scale(1.0 / norm);
-    x = std::move(ax);
+    const double inv = 1.0 / norm;
+    for (int r = 0; r < n; ++r) x[r] = ax[r] * inv;
   }
   return std::fabs(lambda);
 }

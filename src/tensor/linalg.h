@@ -26,8 +26,14 @@ Result<Tensor> SolveSpd(const Tensor& a, const Tensor& b);
 /// cascade Laplacians) the dominant eigenvalue may be complex; we iterate on
 /// the symmetric part (A + A^T)/2, whose largest eigenvalue upper-bounds the
 /// real spectral abscissa and is the standard surrogate for Chebyshev filter
-/// scaling. Deterministic: starts from the all-ones vector.
-double PowerIterationLargestEigenvalue(const CsrMatrix& a, int iterations = 64);
+/// scaling. Deterministic: starts from the constant vector 1/sqrt(start_dim)
+/// (start_dim 0: the matrix size). The leading a x a block of a matrix that
+/// is zero outside it, run with start_dim = the full size, returns the full
+/// matrix's value bit for bit whenever iterations > 1 (the outside entries
+/// of the iterate are zero after the first product). Allocates nothing
+/// inside the iteration loop.
+double PowerIterationLargestEigenvalue(const CsrMatrix& a, int iterations = 64,
+                                       int start_dim = 0);
 
 /// Left stationary distribution of a row-stochastic matrix P: the phi with
 /// phi^T P = phi^T, sum(phi) = 1, found by power iteration. Returns

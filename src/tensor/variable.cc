@@ -157,6 +157,13 @@ Tensor Resized(const Tensor& t, int rows) {
   return out;
 }
 
+/// The logistic function; exp only ever sees a non-positive argument.
+double SigmoidOf(double x) {
+  if (x >= 0) return 1.0 / (1.0 + std::exp(-x));
+  const double e = std::exp(x);
+  return e / (1.0 + e);
+}
+
 }  // namespace
 
 Variable Variable::Leaf(Tensor value, bool requires_grad) {
@@ -492,11 +499,7 @@ Variable Sigmoid(const Variable& a) {
   const auto& an = CheckedNode(a);
   OpProfile prof(obs::OpKind::kSigmoid);
   const uint64_t n = Elems(an);
-  Tensor out = an->value.Map([](double x) {
-    if (x >= 0) return 1.0 / (1.0 + std::exp(-x));
-    const double e = std::exp(x);
-    return e / (1.0 + e);
-  });
+  Tensor out = an->value.Map([](double x) { return SigmoidOf(x); });
   return prof.Done(
       MakeOpNode(std::move(out), {an},
                  [](Node& self) {
@@ -700,34 +703,38 @@ Variable MeanRows(const Variable& a) {
       n, n);
 }
 
-Variable ConcatCols(const Variable& a, const Variable& b) {
-  const auto& an = CheckedNode(a);
-  const auto& bn = CheckedNode(b);
-  CASCN_CHECK(an->value.rows() == bn->value.rows())
-      << "ConcatCols row mismatch";
+Variable ConcatCols(const std::vector<Variable>& parts) {
+  CASCN_CHECK(!parts.empty());
   OpProfile prof(obs::OpKind::kConcatCols);
-  const int ca = an->value.cols(), cb = bn->value.cols();
-  Tensor out(an->value.rows(), ca + cb);
-  for (int i = 0; i < out.rows(); ++i) {
-    for (int j = 0; j < ca; ++j) out.At(i, j) = an->value.At(i, j);
-    for (int j = 0; j < cb; ++j) out.At(i, ca + j) = bn->value.At(i, j);
+  std::vector<std::shared_ptr<internal::Node>> nodes;
+  int total_cols = 0;
+  for (const auto& p : parts) {
+    nodes.push_back(CheckedNode(p));
+    CASCN_CHECK(p.rows() == parts[0].rows()) << "ConcatCols row mismatch";
+    total_cols += p.cols();
+  }
+  Tensor out(parts[0].rows(), total_cols);
+  int c = 0;
+  for (const auto& n : nodes) {
+    for (int i = 0; i < out.rows(); ++i)
+      for (int j = 0; j < n->value.cols(); ++j)
+        out.At(i, c + j) = n->value.At(i, j);
+    c += n->value.cols();
   }
   return prof.Done(
-      MakeOpNode(std::move(out), {an, bn},
-                 [ca, cb](Node& self) {
-                   if (self.parents[0]->needs_grad) {
-                     Tensor ga(self.grad.rows(), ca);
-                     for (int i = 0; i < ga.rows(); ++i)
-                       for (int j = 0; j < ca; ++j)
-                         ga.At(i, j) = self.grad.At(i, j);
-                     self.parents[0]->AccumGrad(ga);
-                   }
-                   if (self.parents[1]->needs_grad) {
-                     Tensor gb(self.grad.rows(), cb);
-                     for (int i = 0; i < gb.rows(); ++i)
-                       for (int j = 0; j < cb; ++j)
-                         gb.At(i, j) = self.grad.At(i, ca + j);
-                     self.parents[1]->AccumGrad(gb);
+      MakeOpNode(std::move(out), std::move(nodes),
+                 [](Node& self) {
+                   int c = 0;
+                   for (auto& parent : self.parents) {
+                     const int pc = parent->value.cols();
+                     if (parent->needs_grad) {
+                       Tensor g(self.grad.rows(), pc);
+                       for (int i = 0; i < g.rows(); ++i)
+                         for (int j = 0; j < pc; ++j)
+                           g.At(i, j) = self.grad.At(i, c + j);
+                       parent->AccumGrad(g);
+                     }
+                     c += pc;
                    }
                  }),
       0, 0);
@@ -825,6 +832,140 @@ Variable Transpose(const Variable& a) {
                    self.parents[0]->AccumGrad(self.grad.Transposed());
                  }),
       0, 0);
+}
+
+// ---- Fused recurrent cell ----------------------------------------------------
+
+LstmOutput FusedLstmCell(const Variable& zx, const Variable& zh,
+                         const std::vector<Variable>& biases,
+                         const std::vector<Variable>& peepholes,
+                         const Variable& c_prev, int first_row) {
+  CASCN_CHECK(biases.size() == 4 && peepholes.size() == 3)
+      << "FusedLstmCell takes 4 biases and 3 peepholes";
+  CASCN_CHECK(zx.defined() == zh.defined())
+      << "FusedLstmCell takes both convolutions or neither";
+  // Parents: [zx, zh,] b_i, b_f, b_o, b_g, v_i, v_f, v_o, c_prev.
+  std::vector<std::shared_ptr<Node>> parents;
+  if (zx.defined()) parents = {CheckedNode(zx), CheckedNode(zh)};
+  const size_t base = parents.size();
+  for (const auto& b : biases) parents.push_back(CheckedNode(b));
+  for (const auto& v : peepholes) parents.push_back(CheckedNode(v));
+  parents.push_back(CheckedNode(c_prev));
+  const int m = c_prev.rows(), d = c_prev.cols(), a = base ? zx.rows() : 0;
+  CASCN_CHECK(!base || (a <= m && zx.cols() == 4 * d &&
+                        zh.value().SameShape(zx.value())))
+      << "FusedLstmCell convolutions must be a x 4d, a <= the state rows";
+  for (const auto& b : biases)
+    CASCN_CHECK(b.rows() == 1 && b.cols() == d) << "bias must be 1 x d";
+  for (const auto& v : peepholes)
+    CASCN_CHECK(v.cols() == d && first_row >= 0 && first_row + m <= v.rows())
+        << "peephole rows do not cover the state rows";
+  OpProfile prof(obs::OpKind::kFusedLstmCell);
+  const double* x = base ? zx.value().data() : nullptr;
+  const double* y = base ? zh.value().data() : nullptr;
+  const double* b[4];
+  const double* v[3];
+  for (int k = 0; k < 4; ++k) b[k] = biases[k].value().data();
+  for (int k = 0; k < 3; ++k) v[k] = peepholes[k].value().data();
+  const Tensor& c0 = c_prev.value();
+  // [i | f | g | o | tanh(c)] per element, for the backward.
+  std::shared_ptr<Tensor> saved;
+  if (t_grad_enabled) saved = std::make_shared<Tensor>(m, 5 * d);
+  Tensor c(m, d), h(m, d);
+  for (int r = 0; r < m; ++r) {
+    const size_t p = static_cast<size_t>(first_row + r) * d;
+    for (int j = 0; j < d; ++j) {
+      // ((x + h) + b) of gate k; rows past a see no convolution.
+      auto pre = [&](int k) {
+        const size_t at = (static_cast<size_t>(r) * 4 + k) * d + j;
+        return ((r < a ? x[at] : 0.0) + (r < a ? y[at] : 0.0)) + b[k][j];
+      };
+      const double cp = c0.At(r, j);
+      const double i = SigmoidOf(pre(0) + v[0][p + j] * cp);
+      const double f = SigmoidOf(pre(1) + v[1][p + j] * cp);
+      const double g = std::tanh(pre(3));
+      const double cv = f * cp + i * g;
+      const double o = SigmoidOf(pre(2) + v[2][p + j] * cv);
+      const double tc = std::tanh(cv);
+      c.At(r, j) = cv;
+      h.At(r, j) = o * tc;
+      if (saved) {
+        double* s = saved->data() + static_cast<size_t>(r) * 5 * d + j;
+        s[0] = i, s[d] = f, s[2 * d] = g, s[3 * d] = o, s[4 * d] = tc;
+      }
+    }
+  }
+  // c: its backward takes dL/dc (from h_t and from step t + 1) through the
+  // i, f and g gates.
+  auto c_node = MakeOpNode(std::move(c), parents, [saved, a, base, first_row](
+                                                      Node& self) {
+    const int m = self.grad.rows(), d = self.grad.cols();
+    const Tensor& s = *saved;
+    Node& cp = *self.parents[base + 7];
+    const Tensor& vi = self.parents[base + 4]->value;
+    const Tensor& vf = self.parents[base + 5]->value;
+    Tensor dz(a, 4 * d), dcp(m, d), dvi(vi.rows(), d), dvf(vi.rows(), d);
+    Tensor dbi(1, d), dbf(1, d), dbg(1, d);
+    for (int r = 0; r < m; ++r) {
+      const int p = first_row + r;
+      for (int j = 0; j < d; ++j) {
+        const double gc = self.grad.At(r, j), c0 = cp.value.At(r, j);
+        const double i = s.At(r, j), f = s.At(r, d + j), g = s.At(r, 2 * d + j);
+        const double di = gc * g * i * (1.0 - i);
+        const double df = gc * c0 * f * (1.0 - f);
+        const double dg = gc * i * (1.0 - g * g);
+        dcp.At(r, j) = gc * f + di * vi.At(p, j) + df * vf.At(p, j);
+        dvi.At(p, j) = di * c0;
+        dvf.At(p, j) = df * c0;
+        dbi.At(0, j) += di;
+        dbf.At(0, j) += df;
+        dbg.At(0, j) += dg;
+        if (r < a) dz.At(r, j) = di, dz.At(r, d + j) = df, dz.At(r, 3 * d + j) = dg;
+      }
+    }
+    for (size_t k = 0; k < base; ++k)
+      if (self.parents[k]->needs_grad) self.parents[k]->AccumGrad(dz);
+    const std::pair<size_t, const Tensor*> grads[] = {
+        {0, &dbi}, {1, &dbf}, {3, &dbg}, {4, &dvi}, {5, &dvf}, {7, &dcp}};
+    for (const auto& [k, g] : grads)
+      if (self.parents[base + k]->needs_grad)
+        self.parents[base + k]->AccumGrad(*g);
+  });
+  c_node->op = obs::OpKind::kFusedLstmCell;
+  // h = o * tanh(c): its backward feeds the o gate and c.
+  parents.push_back(c_node);
+  auto h_node = MakeOpNode(std::move(h), parents, [saved, a, base, first_row](
+                                                      Node& self) {
+    const int m = self.grad.rows(), d = self.grad.cols();
+    const Tensor& s = *saved;
+    Node& cn = *self.parents[base + 8];
+    const Tensor& vo = self.parents[base + 6]->value;
+    Tensor dz(a, 4 * d), dc(m, d), dvo(vo.rows(), d), dbo(1, d);
+    for (int r = 0; r < m; ++r) {
+      const int p = first_row + r;
+      for (int j = 0; j < d; ++j) {
+        const double gh = self.grad.At(r, j);
+        const double o = s.At(r, 3 * d + j), tc = s.At(r, 4 * d + j);
+        const double dpo = gh * tc * o * (1.0 - o);
+        dc.At(r, j) = gh * o * (1.0 - tc * tc) + dpo * vo.At(p, j);
+        dvo.At(p, j) = dpo * cn.value.At(r, j);
+        dbo.At(0, j) += dpo;
+        if (r < a) dz.At(r, 2 * d + j) = dpo;
+      }
+    }
+    for (size_t k = 0; k < base; ++k)
+      if (self.parents[k]->needs_grad) self.parents[k]->AccumGrad(dz);
+    const std::pair<size_t, const Tensor*> grads[] = {
+        {2, &dbo}, {6, &dvo}, {8, &dc}};
+    for (const auto& [k, g] : grads)
+      if (self.parents[base + k]->needs_grad)
+        self.parents[base + k]->AccumGrad(*g);
+  });
+  const uint64_t work = 30 * static_cast<uint64_t>(m) * d;
+  LstmOutput out;
+  out.c = Variable::FromNode(std::move(c_node));
+  out.h = prof.Done(std::move(h_node), work, work);
+  return out;
 }
 
 }  // namespace cascn::ag

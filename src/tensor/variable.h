@@ -15,8 +15,8 @@
 //
 // The op set is exactly what the CasCN models and baselines need: dense and
 // sparse matmul, broadcast bias, gate nonlinearities, pooling, concat/slice,
-// row gather (embeddings), row softmax (attention), and scalar scaling
-// (learned time decay).
+// row gather (embeddings), row softmax (attention), scalar scaling (learned
+// time decay) and the fused graph-LSTM cell.
 
 #ifndef CASCN_TENSOR_VARIABLE_H_
 #define CASCN_TENSOR_VARIABLE_H_
@@ -224,8 +224,9 @@ Variable Mean(const Variable& a);
 Variable MeanRows(const Variable& a);
 /// Column-wise sum over rows: n x d -> 1 x d.
 Variable SumRows(const Variable& a);
-/// Horizontal concat: n x d1, n x d2 -> n x (d1+d2).
-Variable ConcatCols(const Variable& a, const Variable& b);
+/// Horizontal concat of equally-tall blocks: n x d1, n x d2, ... ->
+/// n x (d1 + d2 + ...).
+Variable ConcatCols(const std::vector<Variable>& parts);
 /// Vertical concat of equally-wide blocks.
 Variable ConcatRows(const std::vector<Variable>& parts);
 /// Rows [start, start+len) of a.
@@ -234,6 +235,31 @@ Variable SliceRows(const Variable& a, int start, int len);
 Variable GatherRows(const Variable& table, const std::vector<int>& indices);
 /// Transpose.
 Variable Transpose(const Variable& a);
+
+// ---- Fused recurrent cell ----------------------------------------------------
+
+/// h_t and c_t of one graph-LSTM step.
+struct LstmOutput {
+  Variable h, c;
+};
+
+/// The element-wise part of a graph-LSTM step (CasCN Eq. 12-14) as one op.
+/// For state row r (peephole row p = first_row + r) and column j:
+///   i = sigmoid(((zx_i + zh_i) + b_i) + v_i[p] * c_prev)
+///   f = sigmoid(((zx_f + zh_f) + b_f) + v_f[p] * c_prev)
+///   g = tanh((zx_g + zh_g) + b_g),    c = f * c_prev + i * g
+///   o = sigmoid(((zx_o + zh_o) + b_o) + v_o[p] * c),    h = o * tanh(c)
+/// `zx` and `zh` hold the input and hidden convolutions with the gates
+/// stacked column-wise [i | f | o | g] (a x 4d, a <= c_prev.rows); rows at
+/// or past a, and every row when both are undefined, see zero there.
+/// `biases` are b_i, b_f, b_o, b_g (1 x d each) and `peepholes` v_i, v_f,
+/// v_o (at least first_row + c_prev.rows rows). Each scalar is formed in the
+/// order the unfused Add/Mul/Sigmoid/Tanh chain forms it, so the values are
+/// that chain's bit for bit; the backward is written by hand.
+LstmOutput FusedLstmCell(const Variable& zx, const Variable& zh,
+                         const std::vector<Variable>& biases,
+                         const std::vector<Variable>& peepholes,
+                         const Variable& c_prev, int first_row = 0);
 
 }  // namespace cascn::ag
 

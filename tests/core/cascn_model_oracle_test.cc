@@ -1,19 +1,24 @@
 // The compact forward against the padded oracle.
 //
-// CascnModel convolves only the a active nodes of a cascade and pads the
-// results back to n rows. This file keeps the padded pipeline the model
-// used before: n x n snapshot signals, an n x n Chebyshev basis whose T_0
-// is the identity restricted to the active block, and one ChebConv
-// (sum_k (T_k X) W_k over n rows) per gate and side. Run on a copy of the
-// model's parameters, it must give the same predictions (1e-12 relative;
-// bit-equality is reported) and the same parameter gradients (1e-9
-// relative) for every variant, pooling mode, Chebyshev order and active
-// size, including a cascade that fills the padding.
+// CascnModel runs its recurrence over the a active nodes of a cascade only;
+// the other rows come from a parameter-keyed table (no-grad) or from a
+// recurrence of their own (grad mode). This file keeps the padded pipeline
+// the model used before: n x n snapshot signals, an n x n Chebyshev basis
+// whose T_0 is the identity restricted to the active block, one ChebConv
+// (sum_k (T_k X) W_k over n rows) per gate and side, and the unfused gate
+// ops over all n rows. Run on a copy of the model's parameters, it must give
+// the same predictions in both modes (1e-12 relative; bit-equality is
+// reported) and the same parameter gradients (1e-9 relative) for every
+// variant, pooling mode, Chebyshev order and active size, including a
+// cascade that fills the padding. It must still do so after every kind of
+// in-place parameter write, and when threads race to build the table.
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +27,7 @@
 #include "graph/laplacian.h"
 #include "graph/snapshot.h"
 #include "nn/mlp.h"
+#include "nn/optimizer.h"
 #include "nn/rnn_cells.h"
 #include "obs/profiler.h"
 #include "serve/checkpoint.h"
@@ -245,9 +251,18 @@ struct OracleCase {
 
 class CompactVsPadded : public ::testing::TestWithParam<OracleCase> {};
 
+double NoGradPredict(CascnModel& model, const CascadeSample& sample) {
+  ag::NoGradGuard no_grad;
+  return model.PredictLog(sample).value().At(0, 0);
+}
+
+double PaddedPredict(CascnModel& model, const CascadeSample& sample) {
+  return PaddedReference(model).PredictLog(sample).value().At(0, 0);
+}
+
 TEST_P(CompactVsPadded, PredictionsAndGradientsMatch) {
   const OracleCase c = GetParam();
-  int bit_equal = 0, total = 0;
+  int bit_equal = 0, no_grad_bit_equal = 0, total = 0;
   for (int a : {1, 2, 9, 31, 32}) {
     CascnConfig config;  // padded_size 32
     config.variant = c.variant;
@@ -268,7 +283,10 @@ TEST_P(CompactVsPadded, PredictionsAndGradientsMatch) {
     const Variable want = reference.PredictLog(sample);
     const double g = got.value().At(0, 0), w = want.value().At(0, 0);
     EXPECT_LE(RelDiff(g, w), 1e-12) << g << " vs " << w;
+    const double ng = NoGradPredict(model, sample);
+    EXPECT_LE(RelDiff(ng, w), 1e-12) << "no-grad " << ng << " vs " << w;
     bit_equal += g == w;
+    no_grad_bit_equal += ng == w;
     ++total;
 
     ag::Square(got).Backward();
@@ -286,11 +304,12 @@ TEST_P(CompactVsPadded, PredictionsAndGradientsMatch) {
       EXPECT_LE(worst / scale, 1e-9) << name;
     }
   }
-  std::printf("[oracle] %s attention=%d K=%d: %d of %d predictions "
-              "bit-equal to the padded forward\n",
+  std::printf("[oracle] %s attention=%d K=%d: %d (no-grad %d) of %d "
+              "predictions bit-equal to the padded forward\n",
               VariantName(c.variant).c_str(), c.attention, c.order,
-              bit_equal, total);
+              bit_equal, no_grad_bit_equal, total);
   RecordProperty("bit_equal_predictions", bit_equal);
+  RecordProperty("no_grad_bit_equal_predictions", no_grad_bit_equal);
 }
 
 std::vector<OracleCase> AllCases() {
@@ -368,6 +387,119 @@ TEST(CompactModelTest, NoGradPredictIsIdenticalAndAllocatesLess) {
               static_cast<unsigned long long>(graph_allocs),
               static_cast<unsigned long long>(no_grad_allocs));
 }
+
+/// Gives a model train-like parameter values.
+void Perturb(CascnModel& model) {
+  Rng perturb(model.config().seed);
+  for (auto& p : model.Parameters())
+    p.mutable_value().AddInPlace(
+        Tensor::RandomNormal(p.rows(), p.cols(), 0.1, perturb));
+}
+
+Variable Named(CascnModel& model, const std::string& name) {
+  for (const auto& [n, p] : model.NamedParameters())
+    if (n == name) return p;
+  ADD_FAILURE() << "no parameter " << name;
+  return {};
+}
+
+/// Each in-place write between two no-grad predicts must show in the next
+/// one: the padded-row table is keyed by the parameter bytes themselves.
+class PaddedRowTableTest : public ::testing::TestWithParam<CascnVariant> {
+ protected:
+  CascnConfig Config(uint64_t seed) const {
+    CascnConfig config;
+    config.variant = GetParam();
+    config.seed = seed;
+    return config;
+  }
+  /// Predicts (building or reusing the table) and checks the oracle.
+  double ExpectMatchesOracle(CascnModel& model) {
+    const double got = NoGradPredict(model, sample_);
+    EXPECT_EQ(got, PaddedPredict(model, sample_));
+    return got;
+  }
+  const CascadeSample sample_ = SampleOfSize(9, 41);
+};
+
+TEST_P(PaddedRowTableTest, MutableValueWrite) {
+  CascnModel model(Config(3));
+  Perturb(model);
+  const double before = ExpectMatchesOracle(model);
+  const bool gru = GetParam() == CascnVariant::kGru;
+  // LSTM: a peephole row that only a padded row reads; GRU: a bias.
+  Variable p = Named(model, gru ? "conv_gru.b_n" : "conv_lstm.v_f");
+  p.mutable_value().At(gru ? 0 : 20, 3) += 0.5;
+  EXPECT_NE(ExpectMatchesOracle(model), before);
+}
+
+TEST_P(PaddedRowTableTest, AdamStepAndRestoreState) {
+  CascnModel model(Config(4));
+  Perturb(model);
+  nn::Adam adam(model.Parameters(), {.learning_rate = 0.05});
+  const nn::Adam::State start = adam.SaveState();
+  auto train_step = [&] {
+    ag::Square(model.PredictLog(sample_)).Backward();
+    adam.Step();
+    model.ZeroGrad();
+  };
+  double last = ExpectMatchesOracle(model);
+  train_step();
+  double now = ExpectMatchesOracle(model);
+  EXPECT_NE(now, last);
+  last = now;
+  ASSERT_TRUE(adam.RestoreState(start).ok());
+  EXPECT_EQ(ExpectMatchesOracle(model), last) << "no parameter was written";
+  train_step();  // from the restored moments
+  EXPECT_NE(ExpectMatchesOracle(model), last);
+}
+
+TEST_P(PaddedRowTableTest, CheckpointLoadIntoLiveModel) {
+  CascnModel live(Config(5));
+  Perturb(live);
+  CascnModel other(Config(6));
+  Perturb(other);
+  ExpectMatchesOracle(live);
+  const std::string path =
+      ::testing::TempDir() + "cascn_padded_table.ckpt";
+  ASSERT_TRUE(serve::SaveCascnCheckpoint(path, other).ok());
+  ASSERT_TRUE(
+      serve::LoadCheckpointIntoFile(path, serve::kCascnModelType, live).ok());
+  std::remove(path.c_str());
+  const double loaded = ExpectMatchesOracle(live);
+  CascnModel fresh(Config(6));
+  Perturb(fresh);
+  EXPECT_EQ(loaded, NoGradPredict(fresh, sample_));
+}
+
+TEST_P(PaddedRowTableTest, ConcurrentFirstUse) {
+  CascnModel model(Config(7));
+  Perturb(model);
+  const std::vector<int> sizes = {3, 9, 17, 25};
+  std::vector<CascadeSample> samples;
+  for (int a : sizes) samples.push_back(SampleOfSize(a, 50 + a));
+  std::vector<double> got(sizes.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < sizes.size(); ++i)
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < static_cast<int>(sizes.size())) {
+      }
+      got[i] = NoGradPredict(model, samples[i]);
+    });
+  for (auto& t : threads) t.join();
+  for (size_t i = 0; i < sizes.size(); ++i)
+    EXPECT_EQ(got[i], PaddedPredict(model, samples[i])) << "a=" << sizes[i];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RecurrentVariants, PaddedRowTableTest,
+    ::testing::Values(CascnVariant::kDefault, CascnVariant::kGru),
+    [](const ::testing::TestParamInfo<CascnVariant>& info) {
+      return info.param == CascnVariant::kGru ? std::string("Gru")
+                                              : std::string("Lstm");
+    });
 
 }  // namespace
 }  // namespace cascn

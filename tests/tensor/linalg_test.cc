@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "data/cascade_generator.h"
+#include "graph/laplacian.h"
+#include "obs/profiler.h"
 
 namespace cascn {
 namespace {
@@ -47,6 +50,95 @@ TEST(SolveSpdTest, SolvesRandomSystems) {
 
 TEST(SolveSpdTest, DimensionMismatchFails) {
   EXPECT_FALSE(SolveSpd(Tensor::Identity(3), Tensor(2, 1)).ok());
+}
+
+/// The power iteration before it ran allocation-free on the active block:
+/// the padded matrix, a transposed copy and two products per iteration.
+/// Kept as the oracle of the fast version.
+double OraclePowerIteration(const CsrMatrix& a, int iterations = 64) {
+  const int n = a.rows();
+  if (n == 0) return 0.0;
+  const CsrMatrix at = a.Transposed();
+  Tensor x(n, 1, 1.0 / std::sqrt(static_cast<double>(n)));
+  double lambda = 0.0;
+  for (int it = 0; it < iterations; ++it) {
+    Tensor ax = a.MatMulDense(x);
+    ax.AddInPlace(at.MatMulDense(x));
+    ax.Scale(0.5);
+    double num = 0, den = 0;
+    for (int i = 0; i < n; ++i) {
+      num += x.At(i, 0) * ax.At(i, 0);
+      den += x.At(i, 0) * x.At(i, 0);
+    }
+    lambda = den > 0 ? num / den : 0.0;
+    const double norm = ax.Norm();
+    if (norm < 1e-30) return 0.0;
+    ax.Scale(1.0 / norm);
+    x = std::move(ax);
+  }
+  return std::fabs(lambda);
+}
+
+/// The first generated cascade with at least `size` nodes.
+Cascade LargeCascade(GeneratorConfig gen, uint64_t seed, int size) {
+  gen.num_cascades = 400;
+  Rng rng(seed);
+  for (const Cascade& c : GenerateCascades(gen, rng))
+    if (c.size() >= size) return c;
+  ADD_FAILURE() << "no generated cascade has " << size << " nodes";
+  return {};
+}
+
+/// Root plus size - 1 direct children: every child is a dangling node.
+Cascade StarOf(int size) {
+  std::vector<AdoptionEvent> events = {{0, 0, {}, 0.0}};
+  for (int i = 1; i < size; ++i) events.push_back({i, i, {0}, double(i)});
+  return std::move(Cascade::Create("star", std::move(events))).value();
+}
+
+TEST(PowerIterationTest, ActiveBlockIsBitEqualToPaddedOracle) {
+  const int n = 32;
+  const struct {
+    const char* name;
+    Cascade cascade;
+  } kinds[] = {{"weibo", LargeCascade(WeiboLikeConfig(), 1, n)},
+               {"citation", LargeCascade(CitationLikeConfig(), 2, n)},
+               {"star", StarOf(n)}};
+  int multi_parent = 0;
+  for (const auto& kind : kinds) {
+    for (int i = 0; i < kind.cascade.size(); ++i)
+      multi_parent += kind.cascade.event(i).parents.size() > 1;
+    for (int a : {1, 2, 9, 31, 32}) {
+      SCOPED_TRACE(std::string(kind.name) + " a=" + std::to_string(a));
+      const Cascade prefix = kind.cascade.PrefixBySize(a);
+      for (const CsrMatrix& l :
+           {CascadeLaplacian(prefix, n).value(),
+            UndirectedNormalizedLaplacian(prefix, n)}) {
+        const double want = OraclePowerIteration(l);
+        EXPECT_EQ(PowerIterationLargestEigenvalue(l.LeadingBlock(a), 64, n),
+                  want);
+        EXPECT_EQ(PowerIterationLargestEigenvalue(l), want);
+        EXPECT_EQ(EstimateLambdaMax(l, a),
+                  a <= 1 || !(want >= 1e-6) ? 2.0 : want);
+      }
+    }
+  }
+  EXPECT_GT(multi_parent, 0) << "the citation cascade has no second parent";
+}
+
+TEST(PowerIterationTest, NoAllocationInsideTheLoop) {
+  const CsrMatrix l = CascadeLaplacian(StarOf(9), 32).value();
+  obs::Profiler& profiler = obs::Profiler::Get();
+  profiler.Enable();
+  uint64_t allocs[2];
+  for (int i = 0; i < 2; ++i) {
+    profiler.Reset();
+    PowerIterationLargestEigenvalue(l, i == 0 ? 2 : 64);
+    allocs[i] = profiler.alloc_count();
+  }
+  profiler.Disable();
+  EXPECT_EQ(allocs[0], allocs[1]);
+  EXPECT_LE(allocs[1], 3u);
 }
 
 TEST(PowerIterationTest, DiagonalMatrixDominantEigenvalue) {

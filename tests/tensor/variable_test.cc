@@ -262,7 +262,7 @@ TEST(GradCheckTest, ConcatAndSlice) {
   Variable a = RandomLeaf(3, 2, 25);
   Variable b = RandomLeaf(3, 3, 26);
   auto rc = CheckGradient(a, [&](const Variable& x) {
-    return Sum(Square(ConcatCols(x, b)));
+    return Sum(Square(ConcatCols({x, b})));
   });
   EXPECT_TRUE(rc.ok);
   Variable c = RandomLeaf(4, 2, 27);
@@ -274,6 +274,112 @@ TEST(GradCheckTest, ConcatAndSlice) {
     return Sum(Square(SliceRows(x, 1, 2)));
   });
   EXPECT_TRUE(rs.ok);
+}
+
+TEST(GradCheckTest, ConcatColsOfManyBlocks) {
+  Variable a = RandomLeaf(3, 2, 70), b = RandomLeaf(3, 1, 71);
+  Variable c = RandomLeaf(3, 4, 72);
+  // `a` appears twice, so its gradient sums both column blocks.
+  for (Variable* leaf : {&a, &b, &c}) {
+    auto r = CheckGradient(*leaf, [&](const Variable&) {
+      return Sum(Square(ConcatCols({a, b, c, a})));
+    });
+    EXPECT_TRUE(r.ok) << r.max_rel_error;
+  }
+  const Tensor out = ConcatCols({a, b, c, a}).value();
+  ASSERT_EQ(out.cols(), 9);
+  EXPECT_EQ(out.At(1, 2), b.value().At(1, 0));
+  EXPECT_EQ(out.At(2, 6), c.value().At(2, 3));
+  EXPECT_EQ(out.At(0, 8), a.value().At(0, 1));
+}
+
+/// Inputs of one fused LSTM step: a conv rows, m state rows, width d.
+struct LstmInputs {
+  LstmInputs(int a, int m, int d, int peephole_rows, uint64_t seed)
+      : zx(RandomLeaf(a, 4 * d, seed)),
+        zh(RandomLeaf(a, 4 * d, seed + 1)),
+        c(RandomLeaf(m, d, seed + 2)) {
+    for (int k = 0; k < 4; ++k) b.push_back(RandomLeaf(1, d, seed + 3 + k));
+    for (int k = 0; k < 3; ++k)
+      v.push_back(RandomLeaf(peephole_rows, d, seed + 7 + k));
+  }
+  std::vector<Variable*> Leaves() {
+    std::vector<Variable*> out = {&zx, &zh, &c};
+    for (auto& x : b) out.push_back(&x);
+    for (auto& x : v) out.push_back(&x);
+    return out;
+  }
+  Variable zx, zh, c;
+  std::vector<Variable> b, v;
+};
+
+TEST(GradCheckTest, FusedLstmCellEveryInput) {
+  // Row 2 sees no convolution; the peepholes are read from row 1 on.
+  LstmInputs in(/*a=*/2, /*m=*/3, /*d=*/2, /*peephole_rows=*/5, 80);
+  auto two_steps = [&](const Variable&) {
+    // c_1 feeds h_1 and step 2, so its gradient arrives from both.
+    const LstmOutput s1 = FusedLstmCell(in.zx, in.zh, in.b, in.v, in.c, 1);
+    const LstmOutput s2 = FusedLstmCell(in.zx, in.zh, in.b, in.v, s1.c, 1);
+    return Add(Sum(Square(s1.h)),
+               Add(Sum(Square(s2.h)), Sum(ScalarMul(s2.c, 0.7))));
+  };
+  for (Variable* leaf : in.Leaves()) {
+    auto r = CheckGradient(*leaf, two_steps);
+    EXPECT_TRUE(r.ok) << r.max_rel_error;
+  }
+  // Without convolutions every row is driven by bias and peephole alone.
+  for (Variable* leaf : in.Leaves()) {
+    if (leaf == &in.zx || leaf == &in.zh) continue;
+    auto r = CheckGradient(*leaf, [&](const Variable&) {
+      const LstmOutput out = FusedLstmCell({}, {}, in.b, in.v, in.c, 2);
+      return Add(Sum(Square(out.h)), Sum(out.c));
+    });
+    EXPECT_TRUE(r.ok) << r.max_rel_error;
+  }
+}
+
+TEST(VariableTest, FusedLstmCellEqualsUnfusedChainBitForBit) {
+  const int a = 3, m = 5, d = 4, first_row = 2;
+  LstmInputs in(a, m, d, first_row + m, 90);
+  // Column block k of the stacked convolutions, as its own leaf.
+  auto gate = [&](const Variable& z, int k) {
+    Tensor t(a, d);
+    for (int i = 0; i < a; ++i)
+      for (int j = 0; j < d; ++j) t.At(i, j) = z.value().At(i, k * d + j);
+    return Variable::Leaf(t);
+  };
+  auto pre = [&](int k) {  // (x + h) over a rows, plus b over all m rows
+    return AddRowBroadcast(Add(gate(in.zx, k), gate(in.zh, k)), in.b[k], m);
+  };
+  auto peep = [&](int k, const Variable& c) {
+    return Mul(SliceRows(in.v[k], first_row, m), c);
+  };
+  const Variable i = Sigmoid(Add(pre(0), peep(0, in.c)));
+  const Variable f = Sigmoid(Add(pre(1), peep(1, in.c)));
+  const Variable g = Tanh(pre(3));
+  const Variable c = Add(Mul(f, in.c), Mul(i, g));
+  const Variable o = Sigmoid(Add(pre(2), peep(2, c)));
+  const Variable h = Mul(o, Tanh(c));
+  const LstmOutput fused =
+      FusedLstmCell(in.zx, in.zh, in.b, in.v, in.c, first_row);
+  for (int r = 0; r < m; ++r)
+    for (int j = 0; j < d; ++j) {
+      EXPECT_EQ(fused.c.value().At(r, j), c.value().At(r, j));
+      EXPECT_EQ(fused.h.value().At(r, j), h.value().At(r, j));
+    }
+}
+
+TEST(VariableTest, FusedLstmCellUnderNoGradMatches) {
+  LstmInputs in(2, 4, 3, 4, 100);
+  const LstmOutput graph = FusedLstmCell(in.zx, in.zh, in.b, in.v, in.c);
+  NoGradGuard no_grad;
+  const LstmOutput value = FusedLstmCell(in.zx, in.zh, in.b, in.v, in.c);
+  EXPECT_TRUE(value.h.node()->parents.empty());
+  for (int r = 0; r < 4; ++r)
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_EQ(value.h.value().At(r, j), graph.h.value().At(r, j));
+      EXPECT_EQ(value.c.value().At(r, j), graph.c.value().At(r, j));
+    }
 }
 
 TEST(GradCheckTest, GatherRowsWithRepeats) {
