@@ -1,8 +1,10 @@
 // Micro-benchmarks of the substrate kernels that dominate CasCN training:
 // dense matmul, sparse-dense matmul, the CasLaplacian construction
-// (Algorithm 1), lambda_max, the Chebyshev basis recursion, one graph-conv
-// LSTM step (forward and forward+backward), snapshot encoding, and a whole
-// no-grad predict of an encoded cascade with a = 9 of n = 32 nodes active.
+// (Algorithm 1), lambda_max, the Chebyshev basis recursion, the fused
+// graph-LSTM cell, one graph-conv LSTM step (forward and forward+backward),
+// snapshot encoding, and a whole no-grad predict of an encoded cascade with
+// a = 9 of n = 32 nodes active. BM_Calibration runs no CasCN code at all: it
+// measures the host, and the bench guard divides every other row by it.
 //
 // Besides the usual console output, every run writes a machine-readable
 // BENCH_micro_kernels.json (see obs/bench_report.h) that the CI bench-guard
@@ -33,6 +35,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "tensor/tensor.h"
+#include "tensor/variable.h"
 
 namespace cascn {
 namespace {
@@ -50,6 +53,28 @@ Cascade BenchCascade(int n) {
   }
   return std::move(Cascade::Create("bench", std::move(events))).value();
 }
+
+/// The bench guard's yardstick of host speed, independent of the code under
+/// test: a dependent chain of multiplies and adds (latency-bound, one
+/// operation at a time) plus memcpy sweeps over a 256 KiB buffer.
+void BM_Calibration(benchmark::State& state) {
+  constexpr int kChain = 1 << 14;
+  constexpr size_t kBytes = size_t{256} << 10;
+  std::vector<char> from(kBytes, 1), to(kBytes);
+  double scale = 0.999999, offset = 1e-6;
+  benchmark::DoNotOptimize(scale);
+  benchmark::DoNotOptimize(offset);
+  for (auto _ : state) {
+    double x = 1.0;
+    for (int i = 0; i < kChain; ++i) x = x * scale + offset;
+    benchmark::DoNotOptimize(x);
+    for (int sweep = 0; sweep < 4; ++sweep) {
+      std::memcpy(to.data(), from.data(), kBytes);
+      benchmark::ClobberMemory();
+    }
+  }
+}
+BENCHMARK(BM_Calibration);
 
 void BM_DenseMatMul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -107,6 +132,28 @@ void BM_ChebyshevBasis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChebyshevBasis)->Arg(2)->Arg(3)->Arg(5);
+
+/// The element-wise graph-LSTM cell (three sigmoids, two tanhs) over a = 9
+/// active rows of width 12, without a backward graph.
+void BM_FusedLstmCell(benchmark::State& state) {
+  const int a = static_cast<int>(state.range(0)), d = 12, n = 32;
+  Rng rng(6);
+  auto leaf = [&rng](int rows, int cols) {
+    return ag::Variable::Leaf(Tensor::RandomNormal(rows, cols, 1.0, rng));
+  };
+  const ag::Variable zx = leaf(a, 4 * d), zh = leaf(a, 4 * d);
+  const std::vector<ag::Variable> biases = {leaf(1, d), leaf(1, d), leaf(1, d),
+                                            leaf(1, d)};
+  const std::vector<ag::Variable> peepholes = {leaf(n, d), leaf(n, d),
+                                               leaf(n, d)};
+  const ag::Variable c_prev = leaf(a, d);
+  ag::NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ag::FusedLstmCell(zx, zh, biases, peepholes, c_prev).h);
+  }
+}
+BENCHMARK(BM_FusedLstmCell)->Arg(9);
 
 void BM_GraphConvLstmStepForward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "parallel/parallel_for.h"
+#include "tensor/kernels.h"
 
 namespace cascn {
 
@@ -79,26 +80,18 @@ Tensor CsrMatrix::ToDense() const {
 Tensor CsrMatrix::MatMulDense(const Tensor& dense) const {
   CASCN_CHECK(cols_ == dense.rows());
   Tensor out(rows_, dense.cols());
-  const int n = dense.cols();
-  // Each output row gathers from disjoint state: safe to row-partition, and
-  // the per-row accumulation order (k ascending) is identical either way.
-  auto rows = [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      double* orow = out.data() + r * n;
-      for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-        const double v = values_[k];
-        const double* drow =
-            dense.data() + static_cast<size_t>(col_indices_[k]) * n;
-        for (int j = 0; j < n; ++j) orow[j] += v * drow[j];
-      }
-    }
+  auto gather = [&](size_t r0, size_t r1) {
+    kernels::Kernels().sparse_rows(row_offsets_.data(), col_indices_.data(),
+                                   values_.data(), dense.data(), out.data(),
+                                   dense.cols(), r0, r1);
   };
-  const uint64_t work = uint64_t(values_.size()) * uint64_t(n);
-  if (UseParallelKernel(work)) {
+  // Each output row gathers its nonzeros, in stored order, from disjoint
+  // state: safe to row-partition, and bit-identical either way.
+  if (UseParallelKernel(uint64_t(nnz()) * uint64_t(dense.cols()))) {
     parallel::ParallelForRange(static_cast<size_t>(rows_), RowGrain(rows_),
-                               rows);
+                               gather);
   } else {
-    rows(0, static_cast<size_t>(rows_));
+    gather(0, static_cast<size_t>(rows_));
   }
   return out;
 }
@@ -106,37 +99,19 @@ Tensor CsrMatrix::MatMulDense(const Tensor& dense) const {
 Tensor CsrMatrix::TransposeMatMulDense(const Tensor& dense) const {
   CASCN_CHECK(rows_ == dense.rows());
   Tensor out(cols_, dense.cols());
-  const int n = dense.cols();
-  const uint64_t work = uint64_t(values_.size()) * uint64_t(n);
-  if (UseParallelKernel(work)) {
-    // The CSR scatter (out row = col index) races across input rows, so the
-    // parallel branch partitions *output* rows instead: every worker scans
-    // the full nonzero list and applies only entries landing in its slice.
-    // Per-output-row accumulation order (r, then k, ascending) matches the
-    // serial branch below — bit-identical results.
-    parallel::ParallelForRange(
-        static_cast<size_t>(cols_), RowGrain(cols_),
-        [&](size_t c0, size_t c1) {
-          for (int r = 0; r < rows_; ++r) {
-            const double* drow = dense.data() + static_cast<size_t>(r) * n;
-            for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-              const size_t c = static_cast<size_t>(col_indices_[k]);
-              if (c < c0 || c >= c1) continue;
-              const double v = values_[k];
-              double* orow = out.data() + c * n;
-              for (int j = 0; j < n; ++j) orow[j] += v * drow[j];
-            }
-          }
-        });
-    return out;
-  }
-  for (int r = 0; r < rows_; ++r) {
-    const double* drow = dense.data() + static_cast<size_t>(r) * n;
-    for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const double v = values_[k];
-      double* orow = out.data() + static_cast<size_t>(col_indices_[k]) * n;
-      for (int j = 0; j < n; ++j) orow[j] += v * drow[j];
-    }
+  auto scatter = [&](size_t c0, size_t c1) {
+    kernels::Kernels().sparse_scatter(row_offsets_.data(), col_indices_.data(),
+                                      values_.data(), rows_, dense.data(),
+                                      out.data(), dense.cols(), c0, c1);
+  };
+  // The scatter (output row = column index) races across input rows, so
+  // the pool partitions *output* rows: every worker scans all nonzeros and
+  // applies those landing in its slice, in input-row order either way.
+  if (UseParallelKernel(uint64_t(nnz()) * uint64_t(dense.cols()))) {
+    parallel::ParallelForRange(static_cast<size_t>(cols_), RowGrain(cols_),
+                               scatter);
+  } else {
+    scatter(0, kernels::kAllRows);
   }
   return out;
 }

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "parallel/parallel_for.h"
+#include "tensor/kernels.h"
 
 namespace cascn {
 
@@ -14,8 +15,7 @@ namespace {
 
 // Multiply-add count below which a matmul is not worth farming out to the
 // pool. 2^19 keeps every per-snapshot kernel in the tiny CasCN configs —
-// and the bench-guard calibration benchmark (BM_DenseMatMul/64, 64^3 =
-// 2^18 work) — on the fast serial path.
+// and BM_DenseMatMul/64 (64^3 = 2^18 work) — on the fast serial path.
 constexpr uint64_t kParallelDenseCutoff = uint64_t{1} << 19;
 
 bool UseParallelKernel(uint64_t work) {
@@ -27,6 +27,24 @@ bool UseParallelKernel(uint64_t work) {
 size_t RowGrain(int rows) {
   const size_t chunks = parallel::ConfiguredThreads() * 4;
   return std::max<size_t>(1, static_cast<size_t>(rows) / chunks);
+}
+
+/// c += the terms' products (see kernels::Table::products). Output rows are
+/// independent, so large shapes are row-partitioned over the shared pool;
+/// each element's accumulation order is the same in both branches, so the
+/// results are bit-identical at any thread count.
+void RunProducts(const kernels::Term* terms, int count, bool skip_zero,
+                 uint64_t work, Tensor& c) {
+  const auto& products = kernels::Kernels().products;
+  auto rows = [&](size_t i0, size_t i1) {
+    products(terms, count, skip_zero, c.data(), c.cols(), i0, i1);
+  };
+  if (UseParallelKernel(work)) {
+    parallel::ParallelForRange(static_cast<size_t>(c.rows()),
+                               RowGrain(c.rows()), rows);
+  } else {
+    rows(0, static_cast<size_t>(c.rows()));
+  }
 }
 
 }  // namespace
@@ -162,105 +180,58 @@ std::string Tensor::ToString() const {
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   CASCN_CHECK(a.cols() == b.rows());
-  Tensor c(a.rows(), b.cols());
-  MatMulAccum(a, b, c);
+  const int m = a.rows(), k = a.cols(), n = b.cols();
+  const kernels::Term term{a.data(), static_cast<size_t>(k), 1, k, b.data()};
+  Tensor c(m, n);
+  RunProducts(&term, 1, /*skip_zero=*/true,
+              uint64_t(m) * uint64_t(k) * uint64_t(n), c);
   return c;
 }
 
-void MatMulAccum(const Tensor& a, const Tensor& b, Tensor& c) {
-  CASCN_CHECK(a.cols() <= b.rows());
-  CASCN_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* cd = c.data();
-  // i-k-j ordering: streams through B and C rows, autovectorises well.
-  // Output rows are independent, so large shapes are row-partitioned over
-  // the shared pool; each element's accumulation order (p ascending) is the
-  // same in both branches, so results are bit-identical either way.
-  auto rows = [&](size_t i0, size_t i1) {
-    for (size_t i = i0; i < i1; ++i) {
-      for (int p = 0; p < k; ++p) {
-        const double av = ad[i * k + p];
-        if (av == 0.0) continue;
-        const double* brow = bd + static_cast<size_t>(p) * n;
-        double* crow = cd + i * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  };
-  const uint64_t work = uint64_t(m) * uint64_t(k) * uint64_t(n);
-  if (UseParallelKernel(work)) {
-    parallel::ParallelForRange(static_cast<size_t>(m), RowGrain(m), rows);
-  } else {
-    rows(0, static_cast<size_t>(m));
+Tensor MatMulSum(const std::vector<const Tensor*>& lhs,
+                 const std::vector<const Tensor*>& rhs) {
+  CASCN_CHECK(!lhs.empty() && lhs.size() == rhs.size())
+      << "MatMulSum needs equally many left and right factors";
+  const int m = lhs[0]->rows(), n = rhs[0]->cols();
+  std::vector<kernels::Term> terms;
+  uint64_t work = 0;
+  for (size_t t = 0; t < lhs.size(); ++t) {
+    const Tensor& a = *lhs[t];
+    const Tensor& b = *rhs[t];
+    CASCN_CHECK(a.rows() == m && b.cols() == n && a.cols() <= b.rows())
+        << "MatMulSum shape mismatch";
+    terms.push_back({a.data(), static_cast<size_t>(a.cols()), 1, a.cols(),
+                     b.data()});
+    work += uint64_t(m) * uint64_t(a.cols()) * uint64_t(n);
   }
+  Tensor c(m, n);
+  RunProducts(terms.data(), static_cast<int>(terms.size()),
+              /*skip_zero=*/true, work, c);
+  return c;
 }
 
 Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
   CASCN_CHECK(a.rows() == b.rows());
   const int m = a.cols(), k = a.rows(), n = b.cols();
+  // Row i of A^T is column i of A.
+  const kernels::Term term{a.data(), 1, static_cast<size_t>(m), k, b.data()};
   Tensor c(m, n);
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* cd = c.data();
-  const uint64_t work = uint64_t(m) * uint64_t(k) * uint64_t(n);
-  if (UseParallelKernel(work)) {
-    // Partition output rows i; the p loop stays innermost-ascending so each
-    // element accumulates in the same order as the serial branch below —
-    // bit-identical results at any thread count.
-    parallel::ParallelForRange(
-        static_cast<size_t>(m), RowGrain(m), [&](size_t i0, size_t i1) {
-          for (size_t i = i0; i < i1; ++i) {
-            double* crow = cd + i * n;
-            for (int p = 0; p < k; ++p) {
-              const double av = ad[static_cast<size_t>(p) * m + i];
-              if (av == 0.0) continue;
-              const double* brow = bd + static_cast<size_t>(p) * n;
-              for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-            }
-          }
-        });
-    return c;
-  }
-  for (int p = 0; p < k; ++p) {
-    const double* arow = ad + static_cast<size_t>(p) * m;
-    const double* brow = bd + static_cast<size_t>(p) * n;
-    for (int i = 0; i < m; ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      double* crow = cd + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  RunProducts(&term, 1, /*skip_zero=*/true,
+              uint64_t(m) * uint64_t(k) * uint64_t(n), c);
   return c;
 }
 
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
   CASCN_CHECK(a.cols() == b.cols());
   const int m = a.rows(), k = a.cols(), n = b.rows();
+  // Packed as B^T, so the kernel runs across output columns; each element
+  // is still one dot product over p ascending, from zero, with no entry
+  // skipped.
+  const Tensor bt = b.Transposed();
+  const kernels::Term term{a.data(), static_cast<size_t>(k), 1, k, bt.data()};
   Tensor c(m, n);
-  const double* ad = a.data();
-  const double* bd = b.data();
-  // Independent dot products per output element: row-partitioning cannot
-  // change any accumulation order.
-  auto rows = [&](size_t i0, size_t i1) {
-    for (size_t i = i0; i < i1; ++i) {
-      const double* arow = ad + i * k;
-      for (int j = 0; j < n; ++j) {
-        const double* brow = bd + static_cast<size_t>(j) * k;
-        double s = 0;
-        for (int p = 0; p < k; ++p) s += arow[p] * brow[p];
-        c.At(static_cast<int>(i), j) = s;
-      }
-    }
-  };
-  const uint64_t work = uint64_t(m) * uint64_t(k) * uint64_t(n);
-  if (UseParallelKernel(work)) {
-    parallel::ParallelForRange(static_cast<size_t>(m), RowGrain(m), rows);
-  } else {
-    rows(0, static_cast<size_t>(m));
-  }
+  RunProducts(&term, 1, /*skip_zero=*/false,
+              uint64_t(m) * uint64_t(k) * uint64_t(n), c);
   return c;
 }
 

@@ -117,11 +117,15 @@ class Tensor {
 /// C = A * B. Pre: A.cols == B.rows.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// C += A * B (accumulating). B may have more rows than A has columns: only
-/// its leading A.cols rows are read, which is the product of B with A
-/// zero-padded to B.rows columns (a compact left factor whose trailing
-/// columns are all zero). Pre: A.cols <= B.rows, c is A.rows x B.cols.
-void MatMulAccum(const Tensor& a, const Tensor& b, Tensor& c);
+/// sum_t lhs[t] * rhs[t]: each product is summed over p ascending on its
+/// own, skipping zero entries of lhs[t], and the products are added left to
+/// right, so the value equals the MatMul/Add chain bit for bit. rhs[t] may
+/// have more rows than lhs[t] has columns: only its leading lhs[t].cols
+/// rows are read, which is the product with lhs[t] zero-padded (a compact
+/// left factor whose trailing columns are all zero). Pre: equal non-zero
+/// counts, lhs[t].cols <= rhs[t].rows, all products of one shape.
+Tensor MatMulSum(const std::vector<const Tensor*>& lhs,
+                 const std::vector<const Tensor*>& rhs);
 
 /// C = A^T * B without materialising A^T. Pre: A.rows == B.rows.
 Tensor MatMulTransposeA(const Tensor& a, const Tensor& b);

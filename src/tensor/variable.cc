@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace cascn::ag {
 
@@ -20,17 +21,40 @@ thread_local bool t_grad_enabled = true;
 
 namespace internal {
 
+namespace {
+
+/// grad += g, taking g over (a copy or a move, as G deduces) when grad is
+/// still empty.
+template <typename G>
+void AddOrTake(Tensor& grad, const Tensor& value, G&& g) {
+  CASCN_CHECK(g.SameShape(value)) << "gradient shape differs from its value";
+  if (grad.empty()) {
+    grad = std::forward<G>(g);
+  } else {
+    grad.AddInPlace(g);
+  }
+}
+
+}  // namespace
+
+// Only requires_grad leaves (model parameters) are shared across
+// concurrently-built per-sample graphs; AccumGrad diverts those into the
+// thread's sink when capture is active. Intermediate nodes are private to
+// their graph and accumulate in place as always.
 void Node::AccumGrad(const Tensor& g) {
-  // Only requires_grad leaves (model parameters) are shared across
-  // concurrently-built per-sample graphs; divert those into the thread's
-  // sink when capture is active. Intermediate nodes are private to their
-  // graph and accumulate in place as always.
   if (requires_grad && t_active_sink != nullptr) {
     t_active_sink->Accumulate(this, g);
-    return;
+  } else {
+    AddOrTake(grad, value, g);
   }
-  if (grad.empty()) grad = Tensor(value.rows(), value.cols());
-  grad.AddInPlace(g);
+}
+
+void Node::AccumGrad(Tensor&& g) {
+  if (requires_grad && t_active_sink != nullptr) {
+    t_active_sink->Accumulate(this, std::move(g));
+  } else {
+    AddOrTake(grad, value, std::move(g));
+  }
 }
 
 }  // namespace internal
@@ -44,16 +68,22 @@ void GradSink::Accumulate(internal::Node* node, const Tensor& g) {
   }
 }
 
+void GradSink::Accumulate(internal::Node* node, Tensor&& g) {
+  auto [it, inserted] = index_.try_emplace(node, entries_.size());
+  if (inserted) {
+    entries_.emplace_back(node, std::move(g));
+  } else {
+    entries_[it->second].second.AddInPlace(g);
+  }
+}
+
 void GradSink::Merge(const GradSink& other) {
   for (const auto& [node, g] : other.entries_) Accumulate(node, g);
 }
 
 void GradSink::Flush() {
-  for (auto& [node, g] : entries_) {
-    if (node->grad.empty())
-      node->grad = Tensor(node->value.rows(), node->value.cols());
-    node->grad.AddInPlace(g);
-  }
+  for (auto& [node, g] : entries_)
+    internal::AddOrTake(node->grad, node->value, std::move(g));
   Clear();
 }
 
@@ -157,11 +187,11 @@ Tensor Resized(const Tensor& t, int rows) {
   return out;
 }
 
-/// The logistic function; exp only ever sees a non-positive argument.
-double SigmoidOf(double x) {
-  if (x >= 0) return 1.0 / (1.0 + std::exp(-x));
-  const double e = std::exp(x);
-  return e / (1.0 + e);
+/// f applied element-wise by a kernel of the table.
+Tensor MapKernel(void (*f)(const double*, double*, size_t), const Tensor& x) {
+  Tensor out(x.rows(), x.cols());
+  f(x.data(), out.data(), static_cast<size_t>(x.size()));
+  return out;
 }
 
 }  // namespace
@@ -239,7 +269,7 @@ void Variable::Backward() const {
   }
   Tensor seed(1, 1);
   seed.At(0, 0) = 1.0;
-  node_->AccumGrad(seed);
+  node_->AccumGrad(std::move(seed));
   const bool profiling = obs::Profiler::Get().enabled();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* node = *it;
@@ -288,7 +318,7 @@ Variable Sub(const Variable& a, const Variable& b) {
                    if (self.parents[1]->needs_grad) {
                      Tensor neg = self.grad;
                      neg.Scale(-1.0);
-                     self.parents[1]->AccumGrad(neg);
+                     self.parents[1]->AccumGrad(std::move(neg));
                    }
                  }),
       n, 2 * n);
@@ -348,7 +378,7 @@ Variable ScalarMul(const Variable& a, double alpha) {
                               [alpha](Node& self) {
                                 Tensor g = self.grad;
                                 g.Scale(alpha);
-                                self.parents[0]->AccumGrad(g);
+                                self.parents[0]->AccumGrad(std::move(g));
                               }),
                    n, n);
 }
@@ -383,13 +413,13 @@ Variable ScaleByScalar(const Variable& a, const Variable& s) {
                    if (self.parents[0]->needs_grad) {
                      Tensor g = self.grad;
                      g.Scale(sv);
-                     self.parents[0]->AccumGrad(g);
+                     self.parents[0]->AccumGrad(std::move(g));
                    }
                    if (self.parents[1]->needs_grad) {
                      Tensor gs(1, 1);
                      gs.At(0, 0) =
                          cascn::Mul(self.grad, self.parents[0]->value).Sum();
-                     self.parents[1]->AccumGrad(gs);
+                     self.parents[1]->AccumGrad(std::move(gs));
                    }
                  }),
       n, 2 * n);
@@ -421,33 +451,22 @@ Variable MatMul(const Variable& a, const Variable& b) {
 
 Variable MatMulSum(const std::vector<Variable>& lhs,
                    const std::vector<Variable>& rhs) {
-  CASCN_CHECK(!lhs.empty() && lhs.size() == rhs.size())
-      << "MatMulSum needs equally many left and right factors";
   OpProfile prof(obs::OpKind::kMatMulSum);
   const size_t terms = lhs.size();
   std::vector<std::shared_ptr<Node>> nodes;
   nodes.reserve(2 * terms);
   for (const auto& v : lhs) nodes.push_back(CheckedNode(v));
   for (const auto& v : rhs) nodes.push_back(CheckedNode(v));
-  const int m = nodes[0]->value.rows(), d = nodes[terms]->value.cols();
+  std::vector<const Tensor*> a, b;
   uint64_t flops = 0;
-  Tensor out(m, d);
   for (size_t i = 0; i < terms; ++i) {
-    const Tensor& a = nodes[i]->value;
-    const Tensor& b = nodes[terms + i]->value;
-    CASCN_CHECK(a.rows() == m && b.cols() == d && a.cols() <= b.rows())
-        << "MatMulSum shape mismatch";
-    flops += 2 * uint64_t(m) * uint64_t(a.cols()) * uint64_t(d);
-    if (i == 0) {
-      MatMulAccum(a, b, out);
-    } else {
-      Tensor product(m, d);
-      MatMulAccum(a, b, product);
-      out.AddInPlace(product);
-    }
+    a.push_back(&nodes[i]->value);
+    b.push_back(&nodes[terms + i]->value);
+    flops += 2 * uint64_t(a[i]->rows()) * uint64_t(a[i]->cols()) *
+             uint64_t(b[i]->cols());
   }
   return prof.Done(
-      MakeOpNode(std::move(out), nodes,
+      MakeOpNode(cascn::MatMulSum(a, b), nodes,
                  [terms](Node& self) {
                    for (size_t i = 0; i < terms; ++i) {
                      Node& a = *self.parents[i];
@@ -499,7 +518,7 @@ Variable Sigmoid(const Variable& a) {
   const auto& an = CheckedNode(a);
   OpProfile prof(obs::OpKind::kSigmoid);
   const uint64_t n = Elems(an);
-  Tensor out = an->value.Map([](double x) { return SigmoidOf(x); });
+  Tensor out = MapKernel(kernels::Kernels().sigmoid, an->value);
   return prof.Done(
       MakeOpNode(std::move(out), {an},
                  [](Node& self) {
@@ -509,7 +528,7 @@ Variable Sigmoid(const Variable& a) {
                        const double y = self.value.At(i, j);
                        g.At(i, j) = self.grad.At(i, j) * y * (1.0 - y);
                      }
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       4 * n, 3 * n);
 }
@@ -518,7 +537,7 @@ Variable Tanh(const Variable& a) {
   const auto& an = CheckedNode(a);
   OpProfile prof(obs::OpKind::kTanh);
   const uint64_t n = Elems(an);
-  Tensor out = an->value.Map([](double x) { return std::tanh(x); });
+  Tensor out = MapKernel(kernels::Kernels().tanh, an->value);
   return prof.Done(
       MakeOpNode(std::move(out), {an},
                  [](Node& self) {
@@ -528,7 +547,7 @@ Variable Tanh(const Variable& a) {
                        const double y = self.value.At(i, j);
                        g.At(i, j) = self.grad.At(i, j) * (1.0 - y * y);
                      }
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       4 * n, 3 * n);
 }
@@ -546,7 +565,7 @@ Variable Relu(const Variable& a) {
                      for (int j = 0; j < g.cols(); ++j)
                        g.At(i, j) =
                            self.value.At(i, j) > 0 ? self.grad.At(i, j) : 0.0;
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       n, n);
 }
@@ -564,7 +583,7 @@ Variable Square(const Variable& a) {
                    for (int i = 0; i < g.rows(); ++i)
                      for (int j = 0; j < g.cols(); ++j)
                        g.At(i, j) = self.grad.At(i, j) * 2.0 * x.At(i, j);
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       n, 2 * n);
 }
@@ -590,7 +609,7 @@ Variable Softplus(const Variable& a) {
                                    : std::exp(xv) / (1.0 + std::exp(xv));
                        g.At(i, j) = self.grad.At(i, j) * sig;
                      }
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       4 * n, 4 * n);
 }
@@ -624,7 +643,7 @@ Variable SoftmaxRows(const Variable& a) {
                        g.At(i, j) =
                            self.value.At(i, j) * (self.grad.At(i, j) - dot);
                    }
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       5 * n, 3 * n);
 }
@@ -643,7 +662,7 @@ Variable Sum(const Variable& a) {
                    const double g = self.grad.At(0, 0);
                    Tensor full(self.parents[0]->value.rows(),
                                self.parents[0]->value.cols(), g);
-                   self.parents[0]->AccumGrad(full);
+                   self.parents[0]->AccumGrad(std::move(full));
                  }),
       n, n);
 }
@@ -661,7 +680,7 @@ Variable Mean(const Variable& a) {
                    const double g = self.grad.At(0, 0) * inv;
                    Tensor full(self.parents[0]->value.rows(),
                                self.parents[0]->value.cols(), g);
-                   self.parents[0]->AccumGrad(full);
+                   self.parents[0]->AccumGrad(std::move(full));
                  }),
       n, n);
 }
@@ -678,7 +697,7 @@ Variable SumRows(const Variable& a) {
                    for (int i = 0; i < g.rows(); ++i)
                      for (int j = 0; j < g.cols(); ++j)
                        g.At(i, j) = self.grad.At(0, j);
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       n, n);
 }
@@ -698,7 +717,7 @@ Variable MeanRows(const Variable& a) {
                    for (int i = 0; i < g.rows(); ++i)
                      for (int j = 0; j < g.cols(); ++j)
                        g.At(i, j) = self.grad.At(0, j) * inv;
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       n, n);
 }
@@ -732,7 +751,7 @@ Variable ConcatCols(const std::vector<Variable>& parts) {
                        for (int i = 0; i < g.rows(); ++i)
                          for (int j = 0; j < pc; ++j)
                            g.At(i, j) = self.grad.At(i, c + j);
-                       parent->AccumGrad(g);
+                       parent->AccumGrad(std::move(g));
                      }
                      c += pc;
                    }
@@ -768,7 +787,7 @@ Variable ConcatRows(const std::vector<Variable>& parts) {
                        for (int i = 0; i < pr; ++i)
                          for (int j = 0; j < g.cols(); ++j)
                            g.At(i, j) = self.grad.At(r + i, j);
-                       parent->AccumGrad(g);
+                       parent->AccumGrad(std::move(g));
                      }
                      r += pr;
                    }
@@ -793,7 +812,7 @@ Variable SliceRows(const Variable& a, int start, int len) {
                    for (int i = 0; i < len; ++i)
                      for (int j = 0; j < g.cols(); ++j)
                        g.At(start + i, j) = self.grad.At(i, j);
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       0, 0);
 }
@@ -817,7 +836,7 @@ Variable GatherRows(const Variable& table, const std::vector<int>& indices) {
                      for (int j = 0; j < g.cols(); ++j)
                        g.At(indices[i], j) +=
                            self.grad.At(static_cast<int>(i), j);
-                   self.parents[0]->AccumGrad(g);
+                   self.parents[0]->AccumGrad(std::move(g));
                  }),
       0, static_cast<uint64_t>(indices.size()) *
              static_cast<uint64_t>(tn->value.cols()));
@@ -861,40 +880,27 @@ LstmOutput FusedLstmCell(const Variable& zx, const Variable& zh,
     CASCN_CHECK(v.cols() == d && first_row >= 0 && first_row + m <= v.rows())
         << "peephole rows do not cover the state rows";
   OpProfile prof(obs::OpKind::kFusedLstmCell);
-  const double* x = base ? zx.value().data() : nullptr;
-  const double* y = base ? zh.value().data() : nullptr;
-  const double* b[4];
-  const double* v[3];
-  for (int k = 0; k < 4; ++k) b[k] = biases[k].value().data();
-  for (int k = 0; k < 3; ++k) v[k] = peepholes[k].value().data();
-  const Tensor& c0 = c_prev.value();
   // [i | f | g | o | tanh(c)] per element, for the backward.
   std::shared_ptr<Tensor> saved;
   if (t_grad_enabled) saved = std::make_shared<Tensor>(m, 5 * d);
   Tensor c(m, d), h(m, d);
-  for (int r = 0; r < m; ++r) {
-    const size_t p = static_cast<size_t>(first_row + r) * d;
-    for (int j = 0; j < d; ++j) {
-      // ((x + h) + b) of gate k; rows past a see no convolution.
-      auto pre = [&](int k) {
-        const size_t at = (static_cast<size_t>(r) * 4 + k) * d + j;
-        return ((r < a ? x[at] : 0.0) + (r < a ? y[at] : 0.0)) + b[k][j];
-      };
-      const double cp = c0.At(r, j);
-      const double i = SigmoidOf(pre(0) + v[0][p + j] * cp);
-      const double f = SigmoidOf(pre(1) + v[1][p + j] * cp);
-      const double g = std::tanh(pre(3));
-      const double cv = f * cp + i * g;
-      const double o = SigmoidOf(pre(2) + v[2][p + j] * cv);
-      const double tc = std::tanh(cv);
-      c.At(r, j) = cv;
-      h.At(r, j) = o * tc;
-      if (saved) {
-        double* s = saved->data() + static_cast<size_t>(r) * 5 * d + j;
-        s[0] = i, s[d] = f, s[2 * d] = g, s[3 * d] = o, s[4 * d] = tc;
-      }
-    }
+  kernels::LstmCellArgs args;
+  args.rows = m;
+  args.d = d;
+  args.active = a;
+  if (base) {
+    args.zx = zx.value().data();
+    args.zh = zh.value().data();
   }
+  for (int k = 0; k < 4; ++k) args.bias[k] = biases[k].value().data();
+  for (int k = 0; k < 3; ++k)
+    args.peephole[k] =
+        peepholes[k].value().data() + static_cast<size_t>(first_row) * d;
+  args.c_prev = c_prev.value().data();
+  args.c = c.data();
+  args.h = h.data();
+  args.saved = saved ? saved->data() : nullptr;
+  kernels::Kernels().lstm_cell(args);
   // c: its backward takes dL/dc (from h_t and from step t + 1) through the
   // i, f and g gates.
   auto c_node = MakeOpNode(std::move(c), parents, [saved, a, base, first_row](
@@ -925,11 +931,11 @@ LstmOutput FusedLstmCell(const Variable& zx, const Variable& zh,
     }
     for (size_t k = 0; k < base; ++k)
       if (self.parents[k]->needs_grad) self.parents[k]->AccumGrad(dz);
-    const std::pair<size_t, const Tensor*> grads[] = {
+    const std::pair<size_t, Tensor*> grads[] = {
         {0, &dbi}, {1, &dbf}, {3, &dbg}, {4, &dvi}, {5, &dvf}, {7, &dcp}};
     for (const auto& [k, g] : grads)
       if (self.parents[base + k]->needs_grad)
-        self.parents[base + k]->AccumGrad(*g);
+        self.parents[base + k]->AccumGrad(std::move(*g));
   });
   c_node->op = obs::OpKind::kFusedLstmCell;
   // h = o * tanh(c): its backward feeds the o gate and c.
@@ -955,11 +961,11 @@ LstmOutput FusedLstmCell(const Variable& zx, const Variable& zh,
     }
     for (size_t k = 0; k < base; ++k)
       if (self.parents[k]->needs_grad) self.parents[k]->AccumGrad(dz);
-    const std::pair<size_t, const Tensor*> grads[] = {
+    const std::pair<size_t, Tensor*> grads[] = {
         {2, &dbo}, {6, &dvo}, {8, &dc}};
     for (const auto& [k, g] : grads)
       if (self.parents[base + k]->needs_grad)
-        self.parents[base + k]->AccumGrad(*g);
+        self.parents[base + k]->AccumGrad(std::move(*g));
   });
   const uint64_t work = 30 * static_cast<uint64_t>(m) * d;
   LstmOutput out;

@@ -51,8 +51,10 @@ struct Node {
   // Propagates grad (already accumulated in `grad`) to parents.
   std::function<void(Node&)> backward;
 
-  /// grad += g, allocating on first use.
+  /// grad += g. The first accumulation copies g, or takes it over when it
+  /// is a temporary, instead of adding it to zeros. Pre: g has value's shape.
   void AccumGrad(const Tensor& g);
+  void AccumGrad(Tensor&& g);
 };
 
 }  // namespace internal
@@ -113,8 +115,10 @@ class Variable {
 /// reached by the sample's serial backward pass.
 class GradSink {
  public:
-  /// sink[node] += g, allocating the entry on first use.
+  /// sink[node] += g; the first accumulation copies g, or takes it over
+  /// when it is a temporary.
   void Accumulate(internal::Node* node, const Tensor& g);
+  void Accumulate(internal::Node* node, Tensor&& g);
 
   /// this[node] += other[node] for every entry of `other`, appending
   /// entries for leaves this sink has not seen. `other` is not modified.

@@ -9,14 +9,15 @@ guarded is the ratio
 
     time(benchmark) / time(calibration)
 
-which cancels the host's overall speed. A regression in one kernel relative
-to the others (the usual way a silent slowdown lands) moves its ratio; a
-uniformly slower machine does not.
+which cancels the host's overall speed. The default calibration,
+BM_Calibration, runs no CasCN code (a dependent multiply-add chain plus
+memcpy sweeps), so a slowdown of every kernel at once moves every ratio,
+while a uniformly slower machine moves none.
 
 Usage:
     bench_guard.py --current BENCH_micro_kernels.json \
         --baseline bench/baselines/BENCH_micro_kernels.json \
-        [--tolerance 0.5] [--calibration BM_DenseMatMul/64] [--update]
+        [--tolerance 0.5] [--calibration BM_Calibration] [--update]
 
 Exit status: 0 when every benchmark is within tolerance (or --update), 1 on
 any regression, missing benchmark, or schema violation.
@@ -71,7 +72,7 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.5,
                         help="allowed relative increase of the normalized "
                              "ratio (0.5 = 50%%)")
-    parser.add_argument("--calibration", default="BM_DenseMatMul/64",
+    parser.add_argument("--calibration", default="BM_Calibration",
                         help="benchmark used to normalize out machine speed")
     parser.add_argument("--update", action="store_true",
                         help="refresh the baseline from --current and exit")
