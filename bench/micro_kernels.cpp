@@ -12,14 +12,17 @@
 //   --bench_out=PATH     report path (default BENCH_micro_kernels.json)
 //   --trace_out=PATH     Chrome trace of the run
 //   --metrics_out=PATH   global metrics-registry snapshot
-// Run with CASCN_PROFILE=1 for the per-op autograd profile (embedded in the
-// report and printed as a table on exit).
+// With --benchmark_repetitions=N the report keeps each row's median over the
+// N repetitions, which is what the bench guard compares. Run with
+// CASCN_PROFILE=1 for the per-op autograd profile (embedded in the report
+// and printed as a table on exit).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -230,21 +233,29 @@ struct CapturedRun {
   double items_per_second = 0.0;  // 0 when the benchmark sets no item count
 };
 
-/// Forwards to the normal console output while keeping each per-iteration
-/// measurement for the machine-readable report.
+/// Forwards to the normal console output while keeping one measurement per
+/// benchmark for the machine-readable report: the median of the repetitions
+/// when run with --benchmark_repetitions, else the single run. Iterations
+/// are summed over the repetitions.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      CapturedRun captured;
-      captured.name = run.run_name.str();
+      const bool median = run.run_type == Run::RT_Aggregate &&
+                          run.aggregate_name == "median";
+      if (run.error_occurred || (run.run_type != Run::RT_Iteration && !median))
+        continue;
+      const std::string name = run.run_name.str();
+      const auto [it, inserted] = index_.try_emplace(name, captured_.size());
+      if (inserted) captured_.push_back(CapturedRun{name});
+      // The median aggregate follows its repetitions and overwrites them.
+      CapturedRun& captured = captured_[it->second];
       captured.real_ns_per_iter = run.GetAdjustedRealTime();
       captured.cpu_ns_per_iter = run.GetAdjustedCPUTime();
-      captured.iterations = run.iterations;
-      const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) captured.items_per_second = it->second;
-      captured_.push_back(std::move(captured));
+      if (!median) captured.iterations += run.iterations;
+      const auto counter = run.counters.find("items_per_second");
+      if (counter != run.counters.end())
+        captured.items_per_second = counter->second;
     }
     ConsoleReporter::ReportRuns(runs);
   }
@@ -253,6 +264,7 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 
  private:
   std::vector<CapturedRun> captured_;
+  std::unordered_map<std::string, size_t> index_;
 };
 
 /// Consumes --name=value from argv (so google-benchmark's own flag parsing

@@ -1,6 +1,5 @@
 #include "tensor/kernels.h"
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -8,394 +7,32 @@ namespace cascn::kernels {
 
 namespace {
 
-// The helpers below pass 32-byte vectors by value. They are always inlined
-// into one of the kernels at the end of this file, so no vector crosses a
-// call boundary and GCC's warning that such a call changes ABI without AVX
-// does not apply. GCC reports it at the end of the file, so the pragma is
-// not popped; it covers this file only. The lanes are 16-byte aligned for
-// the same reason: GCC's note on 32-byte aligned parameters ignores pragmas.
-#pragma GCC diagnostic ignored "-Wpsabi"
-
 #define CASCN_INLINE inline __attribute__((always_inline))
 
-using Lane = double __attribute__((vector_size(32), aligned(16)));
-using Bits = uint64_t __attribute__((vector_size(32), aligned(16)));
-constexpr int kLanes = 4;
-constexpr uint64_t kSignBit = uint64_t{1} << 63;
+// Two instantiations of the one lane source, kernels_lanes.inc. Each uses
+// the widest lane its target keeps in registers: a lane wider than the
+// vector registers would live on the stack.
 
-CASCN_INLINE Lane Splat(double v) { return Lane{v, v, v, v}; }
-
-// Loads and stores as one lane (Lane) or one element (double), so a column
-// block and a single trailing column share one code path.
-template <typename V>
-CASCN_INLINE V LoadAs(const double* p) {
-  V v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-template <typename V>
-CASCN_INLINE void StoreAs(double* p, V v) {
-  std::memcpy(p, &v, sizeof v);
-}
-
-template <typename V>
-CASCN_INLINE V SplatAs(double v) {
-  if constexpr (sizeof(V) == sizeof(double)) {
-    return v;
-  } else {
-    return Splat(v);
-  }
-}
-
-template <typename V>
-constexpr int kWidth = sizeof(V) / sizeof(double);
-
-/// Calls block.Run<V, L>(j) over column blocks covering [0, n): blocks of
-/// 16 columns, one of 12, 8 or 4, then single columns.
-template <typename Block>
-CASCN_INLINE void ForColumnBlocks(const Block& block, int n) {
-  int j = 0;
-  for (; j + 4 * kLanes <= n; j += 4 * kLanes) block.template Run<Lane, 4>(j);
-  switch ((n - j) / kLanes) {
-    case 3:
-      block.template Run<Lane, 3>(j);
-      break;
-    case 2:
-      block.template Run<Lane, 2>(j);
-      break;
-    case 1:
-      block.template Run<Lane, 1>(j);
-      break;
-  }
-  for (j += (n - j) / kLanes * kLanes; j < n; ++j)
-    block.template Run<double, 1>(j);
-}
-
-// ---- Products ---------------------------------------------------------------
-
-/// acc += sum_p A(i, p) * B(p, [j, j + L lanes)), p ascending.
-template <typename V, int L, bool kSkipZero>
-CASCN_INLINE void AccumulateTerm(const Term& t, size_t i, int j, int n,
-                                 V (&acc)[L]) {
-  const double* a = t.a + i * t.row_stride;
-  const double* b = t.b + j;
-  for (int p = 0; p < t.k; ++p, b += n) {
-    const double av = a[p * t.col_stride];
-    if (kSkipZero && av == 0.0) continue;
-    const V s = SplatAs<V>(av);
-    for (int l = 0; l < L; ++l) acc[l] += s * LoadAs<V>(b + kWidth<V> * l);
-  }
-}
-
-/// One output row's column blocks of a sum of products; the accumulators
-/// stay in registers across each term's whole p loop.
-template <bool kSkipZero>
-struct ProductBlock {
-  const Term* terms;
-  int count;
-  double* row;  // output row i
-  size_t i;
-  int n;
-
-  template <typename V, int L>
-  CASCN_INLINE void Run(int j) const {
-    V sum[L], acc[L];
-    for (int l = 0; l < L; ++l) sum[l] = LoadAs<V>(row + j + kWidth<V> * l);
-    AccumulateTerm<V, L, kSkipZero>(terms[0], i, j, n, sum);
-    for (int t = 1; t < count; ++t) {
-      for (int l = 0; l < L; ++l) acc[l] = SplatAs<V>(0.0);
-      AccumulateTerm<V, L, kSkipZero>(terms[t], i, j, n, acc);
-      for (int l = 0; l < L; ++l) sum[l] += acc[l];
-    }
-    for (int l = 0; l < L; ++l) StoreAs<V>(row + j + kWidth<V> * l, sum[l]);
-  }
-};
-
-template <bool kSkipZero>
-CASCN_INLINE void ProductRows(const Term* terms, int count, double* out,
-                              int n, size_t i0, size_t i1) {
-  for (size_t i = i0; i < i1; ++i)
-    ForColumnBlocks(ProductBlock<kSkipZero>{terms, count, out + i * n, i, n},
-                    n);
-}
-
-CASCN_INLINE void Products(const Term* terms, int count, bool skip_zero,
-                           double* out, int n, size_t i0, size_t i1) {
-  if (skip_zero) {
-    ProductRows<true>(terms, count, out, n, i0, i1);
-  } else {
-    ProductRows<false>(terms, count, out, n, i0, i1);
-  }
-}
-
-/// One CSR row's column blocks: out row += sum_k values[k] * dense row
-/// cols[k], k in stored order.
-struct SparseBlock {
-  const int* cols;
-  const double* values;
-  int begin, end;
-  const double* dense;
-  double* row;
-  int n;
-
-  template <typename V, int L>
-  CASCN_INLINE void Run(int j) const {
-    V acc[L];
-    for (int l = 0; l < L; ++l) acc[l] = LoadAs<V>(row + j + kWidth<V> * l);
-    for (int k = begin; k < end; ++k) {
-      const V s = SplatAs<V>(values[k]);
-      const double* d = dense + static_cast<size_t>(cols[k]) * n + j;
-      for (int l = 0; l < L; ++l) acc[l] += s * LoadAs<V>(d + kWidth<V> * l);
-    }
-    for (int l = 0; l < L; ++l) StoreAs<V>(row + j + kWidth<V> * l, acc[l]);
-  }
-};
-
-CASCN_INLINE void SparseRows(const int* offsets, const int* cols,
-                             const double* values, const double* dense,
-                             double* out, int n, size_t r0, size_t r1) {
-  for (size_t r = r0; r < r1; ++r)
-    ForColumnBlocks(SparseBlock{cols, values, offsets[r], offsets[r + 1],
-                                dense, out + r * n, n},
-                    n);
-}
-
-/// out row c (n columns) += the transposed CSR operator's rows in [c0, c1)
-/// times dense (every row, untested, when kSlice is false). An output row
-/// is revisited once per input row, so it cannot stay in registers. The
-/// column loop is left to the compiler, which vectorises it for each
-/// target; kWidth = 1 fixes n = 1 (the stationary iteration's vector),
-/// where a vectorised loop's set-up would cost more than the update.
-template <bool kSlice, int kWidth>
-CASCN_INLINE void ScatterRows(const int* offsets, const int* cols,
-                              const double* values, int rows,
-                              const double* dense, double* out, int n,
-                              size_t c0, size_t c1) {
-  if (kWidth != 0) n = kWidth;
-  for (int r = 0; r < rows; ++r) {
-    const double* d = dense + static_cast<size_t>(r) * n;
-    for (int k = offsets[r]; k < offsets[r + 1]; ++k) {
-      const size_t c = static_cast<size_t>(cols[k]);
-      if (kSlice && (c < c0 || c >= c1)) continue;
-      double* o = out + c * n;
-      const double v = values[k];
-      for (int j = 0; j < n; ++j) o[j] += v * d[j];
-    }
-  }
-}
-
-CASCN_INLINE void SparseScatter(const int* offsets, const int* cols,
-                                const double* values, int rows,
-                                const double* dense, double* out, int n,
-                                size_t c0, size_t c1) {
-  if (c0 != 0 || c1 != kAllRows) {
-    ScatterRows<true, 0>(offsets, cols, values, rows, dense, out, n, c0, c1);
-  } else if (n == 1) {
-    ScatterRows<false, 1>(offsets, cols, values, rows, dense, out, n, c0, c1);
-  } else {
-    ScatterRows<false, 0>(offsets, cols, values, rows, dense, out, n, c0, c1);
-  }
-}
-
-// ---- Transcendentals --------------------------------------------------------
-
-CASCN_INLINE Lane Min(Lane x, double hi) {
-  return x > Splat(hi) ? Splat(hi) : x;  // NaN compares false and stays
-}
-
-CASCN_INLINE Lane Max(Lane x, double lo) {
-  return x < Splat(lo) ? Splat(lo) : x;
-}
-
-/// -|x|, NaN included.
-CASCN_INLINE Lane NegAbs(Lane x) {
-  return std::bit_cast<Lane>(std::bit_cast<Bits>(x) | kSignBit);
-}
-
-/// Rounds lanes to the nearest integer (ties to even), |x| < 2^51.
-CASCN_INLINE Lane RoundInt(Lane x) {
-  constexpr double kShifter = 0x1.8p52;
-  return (x + Splat(kShifter)) - Splat(kShifter);
-}
-
-/// 2^n for lanes holding integers n in [-1022, 1023]. n + 1.5 * 2^52 keeps
-/// n + 1023 in the low 12 bits of its mantissa (mod 2^12), which the shift
-/// moves into the exponent field.
-CASCN_INLINE Lane Pow2(Lane n) {
-  const Bits bits = std::bit_cast<Bits>(n + Splat(0x1.8p52));
-  return std::bit_cast<Lane>((bits + 1023) << 52);
-}
-
-/// x = k ln2 + r with k integral and |r| <= ln2 / 2 (Cody-Waite: k * ln2_hi
-/// is exact for |k| < 2^21), and q = expm1(r) by its Taylor polynomial to
-/// degree 13, whose truncation error is below 2^-57 on that interval.
-struct Reduced {
-  Lane k, q;
-};
-
-CASCN_INLINE Reduced Reduce(Lane x) {
-  constexpr double kInvLn2 = 0x1.71547652b82fep0;
-  constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
-  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
-  const Lane k = RoundInt(x * Splat(kInvLn2));
-  const Lane r = (x - k * Splat(kLn2Hi)) - k * Splat(kLn2Lo);
-  // 1 / n! for n = 13 down to 2.
-  constexpr double kInvFactorial[] = {
-      1.0 / 6227020800.0, 1.0 / 479001600.0, 1.0 / 39916800.0,
-      1.0 / 3628800.0,    1.0 / 362880.0,    1.0 / 40320.0,
-      1.0 / 5040.0,       1.0 / 720.0,       1.0 / 120.0,
-      1.0 / 24.0,         1.0 / 6.0,         1.0 / 2.0};
-  Lane p = Splat(kInvFactorial[0]);
-  for (int i = 1; i < 12; ++i) p = p * r + Splat(kInvFactorial[i]);
-  return {k, r + (r * r) * p};
-}
-
-/// e^x; the argument is clamped to [-746, 710], where e^x has already
-/// rounded to 0 or overflowed. 2^k is applied as two factors, each a normal
-/// number, so a subnormal result is rounded once, by the last product.
-CASCN_INLINE Lane ExpLane(Lane x) {
-  const auto [k, q] = Reduce(Min(Max(x, -746.0), 710.0));
-  const Lane k1 = RoundInt(k * Splat(0.5));
-  return ((Splat(1.0) + q) * Pow2(k1)) * Pow2(k - k1);
-}
-
-CASCN_INLINE Lane SigmoidLane(Lane x) {
-  const Lane e = ExpLane(NegAbs(x));
-  return (x >= Splat(0.0) ? Splat(1.0) : e) / (Splat(1.0) + e);
-}
-
-/// tanh |x| = -m / (2 + m) with m = expm1(-2|x|) = 2^k q + (2^k - 1), then
-/// x's sign. Past |x| = 20, m is -1 in double, so the argument is clamped
-/// there and 2^k stays normal.
-CASCN_INLINE Lane TanhLane(Lane x) {
-  const Lane z = NegAbs(x);
-  const auto [k, q] = Reduce(Max(z + z, -40.0));
-  const Lane s = Pow2(k);
-  const Lane m = s * q + (s - Splat(1.0));
-  const Lane t = -m / (Splat(2.0) + m);
-  return std::bit_cast<Lane>((std::bit_cast<Bits>(t) & ~kSignBit) |
-                             (std::bit_cast<Bits>(x) & kSignBit));
-}
-
-/// Loads w <= 4 doubles as a lane; a short tail is zero-padded, so every
-/// element goes through the same lane code wherever it sits.
-CASCN_INLINE Lane LoadPart(const double* p, int w) {
-  if (w == kLanes) return LoadAs<Lane>(p);
-  double buf[kLanes] = {};
-  std::memcpy(buf, p, sizeof(double) * w);
-  return LoadAs<Lane>(buf);
-}
-
-CASCN_INLINE void StorePart(double* p, Lane v, int w) {
-  if (w == kLanes) return StoreAs<Lane>(p, v);
-  double buf[kLanes];
-  StoreAs<Lane>(buf, v);
-  std::memcpy(p, buf, sizeof(double) * w);
-}
-
-/// y = f(x) lane by lane, a short tail zero-padded into one more lane.
-template <typename F>
-CASCN_INLINE void MapLanes(F f, const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; i += kLanes) {
-    const int w = n - i < kLanes ? static_cast<int>(n - i) : kLanes;
-    StorePart(y + i, f(LoadPart(x + i, w)), w);
-  }
-}
-
-// Function objects, so that MapLanes never takes a lane function's address.
-struct ExpOp {
-  CASCN_INLINE Lane operator()(Lane x) const { return ExpLane(x); }
-};
-struct SigmoidOp {
-  CASCN_INLINE Lane operator()(Lane x) const { return SigmoidLane(x); }
-};
-struct TanhOp {
-  CASCN_INLINE Lane operator()(Lane x) const { return TanhLane(x); }
-};
-
-// ---- Fused graph-LSTM cell --------------------------------------------------
-
-/// Columns [j, j + w) of state row r; the formulas of ag::FusedLstmCell.
-CASCN_INLINE void LstmCellLane(const LstmCellArgs& a, int r, int j, int w) {
-  const size_t d = static_cast<size_t>(a.d);
-  const size_t at = r * d + j;
-  Lane pre[4];
-  for (int g = 0; g < 4; ++g) {
-    // Rows past the active block see no convolution: 0 + 0.
-    Lane conv = Splat(0.0);
-    if (r < a.active) {
-      const size_t z = (static_cast<size_t>(r) * 4 + g) * d + j;
-      conv = LoadPart(a.zx + z, w) + LoadPart(a.zh + z, w);
-    }
-    pre[g] = conv + LoadPart(a.bias[g] + j, w);
-  }
-  const Lane cp = LoadPart(a.c_prev + at, w);
-  const Lane i = SigmoidLane(pre[0] + LoadPart(a.peephole[0] + at, w) * cp);
-  const Lane f = SigmoidLane(pre[1] + LoadPart(a.peephole[1] + at, w) * cp);
-  const Lane g = TanhLane(pre[3]);
-  const Lane c = f * cp + i * g;
-  const Lane o = SigmoidLane(pre[2] + LoadPart(a.peephole[2] + at, w) * c);
-  const Lane tc = TanhLane(c);
-  StorePart(a.c + at, c, w);
-  StorePart(a.h + at, o * tc, w);
-  if (a.saved != nullptr) {
-    double* s = a.saved + static_cast<size_t>(r) * 5 * d + j;
-    const Lane parts[] = {i, f, g, o, tc};
-    for (int k = 0; k < 5; ++k) StorePart(s + k * d, parts[k], w);
-  }
-}
-
-CASCN_INLINE void LstmCell(const LstmCellArgs& a) {
-  for (int r = 0; r < a.rows; ++r)
-    for (int j = 0; j < a.d; j += kLanes)
-      LstmCellLane(a, r, j, a.d - j < kLanes ? a.d - j : kLanes);
-}
-
-// ---- Instantiations ---------------------------------------------------------
-
-// One table per target, each function a thin wrapper that the helpers above
-// are inlined into.
-#define CASCN_DEFINE_KERNELS(NS, TARGET)                                      \
-  namespace NS {                                                              \
-  TARGET void ProductsFn(const Term* terms, int count, bool skip_zero,        \
-                         double* out, int n, size_t i0, size_t i1) {          \
-    Products(terms, count, skip_zero, out, n, i0, i1);                        \
-  }                                                                           \
-  TARGET void SparseRowsFn(const int* offsets, const int* cols,               \
-                           const double* values, const double* dense,         \
-                           double* out, int n, size_t r0, size_t r1) {        \
-    SparseRows(offsets, cols, values, dense, out, n, r0, r1);                 \
-  }                                                                           \
-  TARGET void SparseScatterFn(const int* offsets, const int* cols,            \
-                              const double* values, int rows,                 \
-                              const double* dense, double* out, int n,        \
-                              size_t c0, size_t c1) {                         \
-    SparseScatter(offsets, cols, values, rows, dense, out, n, c0, c1);        \
-  }                                                                           \
-  TARGET void ExpFn(const double* x, double* y, size_t n) {                   \
-    MapLanes(ExpOp{}, x, y, n);                                               \
-  }                                                                           \
-  TARGET void SigmoidFn(const double* x, double* y, size_t n) {               \
-    MapLanes(SigmoidOp{}, x, y, n);                                           \
-  }                                                                           \
-  TARGET void TanhFn(const double* x, double* y, size_t n) {                  \
-    MapLanes(TanhOp{}, x, y, n);                                              \
-  }                                                                           \
-  TARGET void LstmCellFn(const LstmCellArgs& args) { LstmCell(args); }        \
-  constexpr Table kTable = {#NS,       ProductsFn, SparseRowsFn,             \
-                            SparseScatterFn, ExpFn, SigmoidFn,                \
-                            TanhFn,    LstmCellFn};                           \
-  }
-
-CASCN_DEFINE_KERNELS(baseline, )
+namespace baseline {
+using Lane = double __attribute__((vector_size(16)));
+using Bits = uint64_t __attribute__((vector_size(16)));
+constexpr char kTableName[] = "baseline";
+#include "tensor/kernels_lanes.inc"
+}  // namespace baseline
 
 #if defined(__x86_64__) || defined(__i386__)
 #define CASCN_HAVE_AVX2_KERNELS 1
-CASCN_DEFINE_KERNELS(avx2, __attribute__((target("avx2"))))
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+using Lane = double __attribute__((vector_size(32)));
+using Bits = uint64_t __attribute__((vector_size(32)));
+constexpr char kTableName[] = "avx2";
+#include "tensor/kernels_lanes.inc"
+}  // namespace avx2
+#pragma GCC pop_options
 #endif
 
-#undef CASCN_DEFINE_KERNELS
 #undef CASCN_INLINE
 
 }  // namespace
@@ -417,6 +54,13 @@ const Table& Kernels() {
   static const Table& table =
       Avx2Kernels() != nullptr ? *Avx2Kernels() : BaselineKernels();
   return table;
+}
+
+void ExpForTesting(const Table& table, const double* x, double* y, size_t n) {
+#ifdef CASCN_HAVE_AVX2_KERNELS
+  if (&table == &avx2::kTable) return avx2::ExpFn(x, y, n);
+#endif
+  baseline::ExpFn(x, y, n);
 }
 
 }  // namespace cascn::kernels

@@ -1,12 +1,13 @@
 // Vectorised kernels of the model core: the dense and sparse products, the
 // gate non-linearities and the fused graph-LSTM cell.
 //
-// Every kernel is written once, over a lane of four doubles, and compiled
-// twice from that one source: for the baseline target (SSE2 on x86-64) and,
-// on x86, for AVX2. Kernels() picks one of the two tables once, from the
-// CPU it runs on. Each lane does the same IEEE operations in the same order
-// (no FMA, no reassociation), so both tables return the same bits, and an
-// element's value does not depend on its lane or on the table.
+// Every kernel is written once, over a lane of doubles (kernels_lanes.inc),
+// and compiled twice from that one source: for the baseline target with
+// two-double lanes (SSE2 on x86-64) and, on x86, for AVX2 with four-double
+// lanes. Kernels() picks one of the two tables once, from the CPU it runs
+// on. Each lane does the same IEEE operations in the same order (no FMA, no
+// reassociation), so both tables return the same bits, and an element's
+// value does not depend on its lane or on the table.
 
 #ifndef CASCN_TENSOR_KERNELS_H_
 #define CASCN_TENSOR_KERNELS_H_
@@ -68,9 +69,6 @@ struct Table {
   void (*sparse_scatter)(const int* offsets, const int* cols,
                          const double* values, int rows, const double* dense,
                          double* out, int n, size_t c0, size_t c1);
-  /// y = e^x element-wise, within 1 ulp of the correctly rounded value,
-  /// subnormal results included. NaN propagates; e^-inf = 0.
-  void (*exp)(const double* x, double* y, size_t n);
   /// y = (x >= 0 ? 1 : e) / (1 + e) with e = e^-|x|.
   void (*sigmoid)(const double* x, double* y, size_t n);
   /// y = sign(x) * (-m) / (2 + m) with m = expm1(-2|x|).
@@ -88,6 +86,12 @@ const Table& BaselineKernels();
 
 /// The AVX2 instantiation, or null when the CPU (or the target) has none.
 const Table* Avx2Kernels();
+
+/// y = e^x element-wise with `table`'s instantiation of the exponential
+/// behind sigmoid and tanh, which call it only for x <= 0. There it is
+/// within 1 ulp of the correctly rounded value, subnormal results included;
+/// NaN propagates and e^-inf = 0. Exposed for tests.
+void ExpForTesting(const Table& table, const double* x, double* y, size_t n);
 
 }  // namespace cascn::kernels
 

@@ -35,46 +35,45 @@ void AddOrTake(Tensor& grad, const Tensor& value, G&& g) {
   }
 }
 
+/// node.grad += g, or into the thread's sink when node is a parameter leaf
+/// under capture; g is copied or moved as G deduces.
+template <typename G>
+void AccumGradInto(Node& node, G&& g) {
+  if (node.requires_grad && t_active_sink != nullptr) {
+    t_active_sink->Accumulate(&node, std::forward<G>(g));
+  } else {
+    AddOrTake(node.grad, node.value, std::forward<G>(g));
+  }
+}
+
 }  // namespace
 
 // Only requires_grad leaves (model parameters) are shared across
 // concurrently-built per-sample graphs; AccumGrad diverts those into the
 // thread's sink when capture is active. Intermediate nodes are private to
 // their graph and accumulate in place as always.
-void Node::AccumGrad(const Tensor& g) {
-  if (requires_grad && t_active_sink != nullptr) {
-    t_active_sink->Accumulate(this, g);
-  } else {
-    AddOrTake(grad, value, g);
-  }
-}
+void Node::AccumGrad(const Tensor& g) { AccumGradInto(*this, g); }
 
-void Node::AccumGrad(Tensor&& g) {
-  if (requires_grad && t_active_sink != nullptr) {
-    t_active_sink->Accumulate(this, std::move(g));
-  } else {
-    AddOrTake(grad, value, std::move(g));
-  }
-}
+void Node::AccumGrad(Tensor&& g) { AccumGradInto(*this, std::move(g)); }
 
 }  // namespace internal
 
-void GradSink::Accumulate(internal::Node* node, const Tensor& g) {
+template <typename G>
+void GradSink::Insert(internal::Node* node, G&& g) {
   auto [it, inserted] = index_.try_emplace(node, entries_.size());
   if (inserted) {
-    entries_.emplace_back(node, g);
+    entries_.emplace_back(node, std::forward<G>(g));
   } else {
     entries_[it->second].second.AddInPlace(g);
   }
 }
 
+void GradSink::Accumulate(internal::Node* node, const Tensor& g) {
+  Insert(node, g);
+}
+
 void GradSink::Accumulate(internal::Node* node, Tensor&& g) {
-  auto [it, inserted] = index_.try_emplace(node, entries_.size());
-  if (inserted) {
-    entries_.emplace_back(node, std::move(g));
-  } else {
-    entries_[it->second].second.AddInPlace(g);
-  }
+  Insert(node, std::move(g));
 }
 
 void GradSink::Merge(const GradSink& other) {

@@ -133,6 +133,10 @@ class GradSink {
   bool empty() const { return entries_.empty(); }
 
  private:
+  /// Accumulate, with g copied or moved as G deduces.
+  template <typename G>
+  void Insert(internal::Node* node, G&& g);
+
   std::vector<std::pair<internal::Node*, Tensor>> entries_;
   std::unordered_map<internal::Node*, size_t> index_;
 };
