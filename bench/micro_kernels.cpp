@@ -13,9 +13,10 @@
 //   --trace_out=PATH     Chrome trace of the run
 //   --metrics_out=PATH   global metrics-registry snapshot
 // With --benchmark_repetitions=N the report keeps each row's median over the
-// N repetitions, which is what the bench guard compares. Run with
-// CASCN_PROFILE=1 for the per-op autograd profile (embedded in the report
-// and printed as a table on exit).
+// N repetitions, which is what the bench guard compares; CI adds
+// --benchmark_enable_random_interleaving=true, which also reorders the rows
+// of the report. Run with CASCN_PROFILE=1 for the per-op autograd profile
+// (embedded in the report and printed as a table on exit).
 
 #include <benchmark/benchmark.h>
 
